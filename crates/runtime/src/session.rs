@@ -976,7 +976,13 @@ impl StagedCore {
 
     /// Deliver one accumulated single-consumer run to `(stage, 0)` as a
     /// single batch, columnar when long enough to benefit.
-    fn ship_run(&mut self, stage: usize, node: usize, port: usize, run: &mut Vec<Tuple>) -> Result<()> {
+    fn ship_run(
+        &mut self,
+        stage: usize,
+        node: usize,
+        port: usize,
+        run: &mut Vec<Tuple>,
+    ) -> Result<()> {
         if run.is_empty() {
             return Ok(());
         }

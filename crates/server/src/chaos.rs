@@ -193,6 +193,10 @@ fn proxy_connection(client: TcpStream, upstream: SocketAddr, faults: Vec<Fault>)
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
+    // Both legs forward without Nagle delay, like the endpoints they
+    // stand between; only the scripted faults may add latency.
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
     let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
         return;
     };
@@ -223,8 +227,9 @@ fn copy_until_eof(mut from: TcpStream, mut to: &TcpStream) {
 }
 
 /// Forward whole frames from `client` to `server`, applying each fault
-/// at its frame index. Returns when the client closes, a cut fires, or
-/// the server stops accepting bytes.
+/// at its frame index. Each frame (or torn half-frame) is read into one
+/// buffer and forwarded with one write. Returns when the client closes,
+/// a cut fires, or the server stops accepting bytes.
 fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) {
     let mut frame_index = 0u64;
     let mut header = [0u8; FRAME_HEADER_LEN];
@@ -233,8 +238,9 @@ fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) 
             return;
         }
         let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let mut payload = vec![0u8; len];
-        if client.read_exact(&mut payload).is_err() {
+        let mut frame = vec![0u8; FRAME_HEADER_LEN + len];
+        frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
+        if client.read_exact(&mut frame[FRAME_HEADER_LEN..]).is_err() {
             return;
         }
         for fault in faults.iter().filter(|f| f.frame() == frame_index) {
@@ -247,22 +253,13 @@ fn pump_frames(mut client: TcpStream, mut server: &TcpStream, faults: &[Fault]) 
                     return;
                 }
                 Fault::CutMidFrame { .. } => {
-                    let torn = &payload[..len / 2];
-                    let _ = server
-                        .write_all(&header)
-                        .and_then(|_| server.write_all(torn));
-                    let _ = server.flush();
+                    let _ = server.write_all(&frame[..FRAME_HEADER_LEN + len / 2]);
                     let _ = client.shutdown(Shutdown::Both);
                     return;
                 }
             }
         }
-        if server
-            .write_all(&header)
-            .and_then(|_| server.write_all(&payload))
-            .and_then(|_| server.flush())
-            .is_err()
-        {
+        if server.write_all(&frame).is_err() {
             return;
         }
         frame_index += 1;

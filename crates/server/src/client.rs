@@ -570,12 +570,15 @@ impl Drop for Client {
 }
 
 /// Dial the first reachable address within the configured timeout and
-/// apply the socket timeouts.
+/// apply the socket options: the timeouts, and `TCP_NODELAY` — every
+/// request is one frame in one write answered by one frame, so Nagle's
+/// hold-back would only ever wait out the server's delayed ACK.
 fn dial(addrs: &[SocketAddr], config: &ClientConfig) -> ClientResult<TcpStream> {
     let mut last: Option<std::io::Error> = None;
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
             Ok(stream) => {
+                stream.set_nodelay(true)?;
                 stream.set_read_timeout(config.read_timeout)?;
                 stream.set_write_timeout(config.write_timeout)?;
                 return Ok(stream);
@@ -832,4 +835,44 @@ fn heartbeat_loop(weak: Weak<Mutex<Conn>>, state: Arc<HeartbeatState>) {
 
 fn unexpected(resp: Response) -> ClientError {
     ClientError::UnexpectedResponse(format!("{resp:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChaosProxy, Fault, ServedQuery, Server};
+    use ustream_core::ops::Passthrough;
+    use ustream_core::query::QueryGraph;
+    use ustream_core::schema::{DataType, Schema};
+    use ustream_core::Value;
+
+    #[test]
+    fn dialled_sockets_disable_nagle_on_connect_and_reconnect() {
+        let mut g = QueryGraph::new();
+        let node = g.add(Box::new(Passthrough::new("sink")));
+        g.source("in", node);
+        g.sink(node);
+        let server = Server::serve("127.0.0.1:0", ServedQuery::new(g)).unwrap();
+        // Connection 0 dies before its second frame (the first publish),
+        // so that publish goes out on a redialled socket.
+        let proxy = ChaosProxy::scripted(server.addr(), vec![vec![Fault::CutAtFrame { frame: 1 }]])
+            .unwrap();
+        let config = ClientConfig {
+            backoff_seed: Some(7),
+            ..ClientConfig::default()
+        };
+        let mut client = Client::publisher_manual_with(proxy.addr(), config).unwrap();
+        assert!(client.lock().stream.nodelay().unwrap(), "connect");
+
+        let schema = Schema::builder().field("v", DataType::Int).build();
+        let tuple = Tuple::new(schema, vec![Value::Int(1)], 1);
+        assert_eq!(client.publish("in", 0, &[tuple]).unwrap(), 1);
+        assert_eq!(proxy.connections(), 2, "the publish must have redialled");
+        assert!(client.lock().stream.nodelay().unwrap(), "reconnect");
+
+        client.finish().unwrap();
+        drop(client);
+        proxy.shutdown();
+        server.shutdown();
+    }
 }

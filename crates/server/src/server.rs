@@ -310,6 +310,10 @@ pub struct ServerConfig {
     /// Target tuples per [`Batch`] pushed into the session.
     pub batch_size: usize,
     /// Bound on in-flight engine messages (publish backpressure depth).
+    /// Each message is a whole decoded publish frame (up to a frame's
+    /// worth of row `Tuple`s), so this bounds the decoded backlog the
+    /// connection handlers can build ahead of the engine; the default
+    /// is small because deeper queues buy no throughput, only memory.
     pub inbox_capacity: usize,
     /// Bound on undelivered result frames per subscriber (a slow
     /// subscriber triggers [`ServerConfig::subscriber_policy`] rather
@@ -345,7 +349,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             batch_size: 512,
-            inbox_capacity: 256,
+            inbox_capacity: 8,
             subscriber_capacity: 64,
             lease: Duration::from_secs(5),
             subscriber_policy: SubscriberPolicy::Block,
@@ -1364,9 +1368,11 @@ impl Engine {
 
     fn broadcast_eos(&mut self) {
         for sub in self.subs.drain(..) {
+            // Count first: a subscriber that reads its `Eos` and then
+            // asks for stats must find it counted.
+            self.shared.m.eos.inc();
             sub.queue.push_eos();
             sub.depth.set(sub.queue.depth() as i64);
-            self.shared.m.eos.inc();
         }
     }
 }
@@ -1501,8 +1507,11 @@ fn expire_session(shared: &Arc<Shared>, entry: &Arc<SessionEntry>) {
 /// The socket's write half is shared (frame-at-a-time, under a mutex)
 /// between this thread's replies and the subscription relay thread, so
 /// a subscribed connection stays fully duplex — it can keep publishing
-/// and issuing `stats`/`Finish` while results stream back.
+/// and issuing `stats`/`Finish` while results stream back. Replies go
+/// out with `TCP_NODELAY`: each is one frame in one write, and Nagle's
+/// hold-back would only wait out the client's delayed ACK.
 fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
+    let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -1968,5 +1977,42 @@ fn relay_results(
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ustream_core::ops::Passthrough;
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let mut g = QueryGraph::new();
+        let node = g.add(Box::new(Passthrough::new("sink")));
+        g.source("in", node);
+        g.sink(node);
+        let server = Server::serve("127.0.0.1:0", ServedQuery::new(g)).unwrap();
+
+        // Hand `handle_client` an accepted socket of our own, keeping a
+        // clone (same socket, same options) to inspect.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let probe = accepted.try_clone().unwrap();
+        assert!(!probe.nodelay().unwrap(), "sockets start with Nagle on");
+        let shared = server.shared.clone();
+        let handler = std::thread::spawn(move || handle_client(accepted, 99, shared));
+
+        protocol::write_request(&mut peer, &Request::Hello { publisher: false }).unwrap();
+        assert!(matches!(
+            protocol::read_response(&mut peer).unwrap(),
+            Response::HelloAck { client_id: 99, .. }
+        ));
+        assert!(probe.nodelay().unwrap());
+
+        drop(peer);
+        handler.join().unwrap();
+        let errors = server.shutdown();
+        assert!(errors.is_empty(), "{errors:?}");
     }
 }

@@ -362,7 +362,10 @@ fn plan_report_reconciles_with_the_session_telemetry() {
     let text = report.render();
     assert!(text.contains("stage 0"), "topology present:\n{text}");
     assert!(text.contains("analyze: stage 0: routed ["));
-    assert!(text.contains("eager rounds"), "eager counters rendered:\n{text}");
+    assert!(
+        text.contains("eager rounds"),
+        "eager counters rendered:\n{text}"
+    );
     assert!(text.contains("sampled batches"));
     assert!(text.contains("aggregate#"));
 }

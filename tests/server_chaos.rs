@@ -203,6 +203,21 @@ fn chaotic_client_config(seed: u64) -> ClientConfig {
 
 // --- the seeded chaos matrix -----------------------------------------
 
+/// One manual-heartbeat publisher per proxy, all joined before any
+/// publishes: the merge cannot wait for a publisher it has not met, so a
+/// late joiner's tuples would land behind windows the others already
+/// sealed. (Frame 0, the `Hello`, is never cut by a seeded proxy.)
+fn join_all(proxies: &[ChaosProxy], seed: u64) -> Vec<Client> {
+    proxies
+        .iter()
+        .enumerate()
+        .map(|(p, proxy)| {
+            let config = chaotic_client_config(seed.wrapping_add(p as u64));
+            Client::publisher_manual_with(proxy.addr(), config).unwrap()
+        })
+        .collect()
+}
+
 /// Three publishers behind independent seeded chaos proxies; the
 /// subscriber connects directly. Whatever the proxies do — delay,
 /// reset at a frame boundary, tear a frame in half — the streamed
@@ -239,15 +254,12 @@ fn run_seed_matrix(seed: u64) {
         .map(|p| ChaosProxy::seeded(addr, seed.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
 
-    let threads: Vec<_> = proxies
-        .iter()
+    let threads: Vec<_> = join_all(&proxies, seed)
+        .into_iter()
         .enumerate()
-        .map(|(p, proxy)| {
+        .map(|(p, mut client)| {
             let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
-            let paddr = proxy.addr();
-            let config = chaotic_client_config(seed.wrapping_add(p as u64));
             std::thread::spawn(move || {
-                let mut client = Client::publisher_manual_with(paddr, config).unwrap();
                 for chunk in slice.chunks(37) {
                     let accepted = client.publish("in", 0, chunk).unwrap();
                     assert_eq!(accepted, chunk.len());
@@ -452,15 +464,12 @@ fn chaos_storm_over_pipelined_staged_serving() {
     let proxies: Vec<ChaosProxy> = (0..3)
         .map(|p| ChaosProxy::seeded(addr, 0xEA6E_Fu64.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
-    let threads: Vec<_> = proxies
-        .iter()
+    let threads: Vec<_> = join_all(&proxies, 0xEA6EF)
+        .into_iter()
         .enumerate()
-        .map(|(p, proxy)| {
+        .map(|(p, mut client)| {
             let slice: Vec<Tuple> = all.iter().skip(p).step_by(3).cloned().collect();
-            let paddr = proxy.addr();
-            let config = chaotic_client_config(0xEA6E_F + p as u64);
             std::thread::spawn(move || {
-                let mut client = Client::publisher_manual_with(paddr, config).unwrap();
                 for chunk in slice.chunks(37) {
                     let accepted = client.publish("in", 0, chunk).unwrap();
                     assert_eq!(accepted, chunk.len());
@@ -1080,6 +1089,9 @@ fn reconnecting_subscriber_resumes_from_replay_ring() {
     let mut first = raw_conn(addr);
     raw_hello(&mut first, false);
     protocol::write_request(&mut first, &Request::Subscribe { from: None }).unwrap();
+    // The ack means the subscription is queued to the engine ahead of
+    // any publish that follows.
+    raw_expect_ack(&mut first);
 
     let mut publisher = Client::publisher_manual(addr).unwrap();
     publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
@@ -1187,6 +1199,7 @@ fn stale_subscriber_resume_gets_gap_for_evicted_frames() {
     let mut live = raw_conn(addr);
     raw_hello(&mut live, false);
     protocol::write_request(&mut live, &Request::Subscribe { from: None }).unwrap();
+    raw_expect_ack(&mut live); // subscribed before the first publish
     let mut publisher = Client::publisher_manual(addr).unwrap();
     publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
     let mut seen = 0usize;

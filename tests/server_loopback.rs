@@ -474,3 +474,46 @@ fn stats_serves_metrics_snapshots() {
     assert!(stats[0].calls > 0);
     handle.shutdown();
 }
+
+#[test]
+fn sequential_small_publishes_do_not_wait_on_delayed_acks() {
+    // Each publish is one request frame answered by one ack frame. If a
+    // frame ever leaves in two writes without TCP_NODELAY, every round
+    // trip waits out the peer's delayed-ACK timer (~40 ms on Linux):
+    // 200 publishes would take ~8.8 s instead of well under a second.
+    let all = inputs(200);
+    let handle = Server::serve("127.0.0.1:0", ServedQuery::new(q1_graph().0)).unwrap();
+    let mut subscriber = Client::subscriber(handle.addr()).unwrap();
+    subscriber.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let mut publisher = Client::publisher(handle.addr()).unwrap();
+    publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+
+    let started = std::time::Instant::now();
+    for t in &all {
+        assert_eq!(
+            publisher.publish("in", 0, std::slice::from_ref(t)).unwrap(),
+            1
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 one-tuple publishes took {elapsed:?}"
+    );
+
+    publisher.finish().unwrap();
+    let collected = subscriber.collect_until_eos().unwrap();
+    let (mut ref_graph, sink) = q1_graph();
+    let expected = ref_graph
+        .run_batched(vec![("in".into(), 0, all)], 512)
+        .unwrap()
+        .remove(&sink)
+        .unwrap();
+    assert_eq!(collected.len(), 1);
+    assert_eq!(collected[0].1.len(), expected.len());
+    for (got, want) in collected[0].1.iter().zip(&expected) {
+        assert_eq!(fingerprint(got), fingerprint(want));
+    }
+    let errors = handle.shutdown();
+    assert!(errors.is_empty(), "clean run records no errors: {errors:?}");
+}

@@ -1,14 +1,11 @@
 //! Executor throughput on a Q1-style select → project → aggregate graph:
 //! tuple-at-a-time single-threaded execution vs batched single-threaded
-//! execution vs the threaded executor (batch sizes {1, 64, 1024}) vs the
-//! sharded runtime at shard counts {1, 2, 4, 8}, plus the **staged
-//! exchange pipeline** (`staged/N`: the same Q1 chain feeding a keyed
-//! equi-join, a two-stage plan with an exchange at the aggregate→join
-//! boundary) and its single-threaded `run_batched` reference
-//! (`staged/batched`). The `session/*` / `sharded/*` / `staged/*` rows
-//! pin `with_eager_exchange(false)` (the pre-pipelining sweep) so their
-//! history stays comparable; `session_eager/trace_off` and
-//! `staged_eager/N` measure the pipelined default against them.
+//! execution (batch sizes {1, 64, 1024}) vs the incremental session
+//! driver vs the sharded runtime at shard counts {1, 2, 4, 8}, plus the
+//! **staged exchange pipeline** (`staged/N`: the same Q1 chain feeding a
+//! keyed equi-join, a two-stage plan with an exchange at the
+//! aggregate→join boundary) and its single-threaded `run_batched`
+//! reference (`staged/batched`).
 //!
 //! This is the perf-trajectory baseline for the execution engine:
 //! `BENCH_executor_throughput.json` at the repo root records the
@@ -26,7 +23,7 @@ use ustream_core::ops::aggregate::{AggFunc, AggSpec, Strategy, WindowKind, Windo
 use ustream_core::ops::project::{Derivation, Project};
 use ustream_core::ops::select::{Predicate, Select};
 use ustream_core::ops::{Operator, Passthrough};
-use ustream_core::query::{NodeId, QueryGraph, ThreadedExecutor};
+use ustream_core::query::{NodeId, QueryGraph};
 use ustream_core::schema::{DataType, Schema};
 use ustream_core::tuple::Tuple;
 use ustream_core::updf::Updf;
@@ -305,36 +302,6 @@ fn bench_executor_throughput(c: &mut Criterion) {
         });
     }
 
-    // Instrumentation-overhead A/B: the identical batched run with the
-    // always-on per-operator counters switched off. The delta between
-    // `single/batched/1024` and this row is the telemetry tax.
-    group.bench_function("single/batched_uninstrumented/1024", |b| {
-        b.iter_batched(
-            || (q1_graph(), feed.clone()),
-            |((mut g, sink), tuples)| {
-                let out = g
-                    .run_batched_uninstrumented(vec![("in".into(), 0, tuples)], 1024)
-                    .unwrap();
-                out[&sink].len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    for bs in BATCH_SIZES {
-        group.bench_function(format!("threaded/batched/{bs}"), |b| {
-            b.iter_batched(
-                || (q1_graph(), feed.clone()),
-                |((g, sink), tuples)| {
-                    let exec = ThreadedExecutor::new(1024).with_batch_size(bs);
-                    let out = exec.run(g, vec![("in".into(), 0, tuples)]).unwrap();
-                    out[&sink].len()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-
     // NodeIds are positional, so the sink handle from one construction
     // addresses every factory-built copy.
     let sink = q1_graph().1;
@@ -348,14 +315,11 @@ fn bench_executor_throughput(c: &mut Criterion) {
     // elected batches. Both pre-build their batches in setup, so they
     // compare against each other (sharded/1/1024, the same driver at
     // its untraced default, builds its feed inside the timed region).
-    // The legacy rows pin `with_eager_exchange(false)` so their history
-    // stays comparable; `session_eager/trace_off` is the same driver on
-    // the pipelined default (row batches columnarized at ingest), the
-    // row the ≤9%-overhead-vs-`single/batched/1024` target is read from.
-    for (label, every, eager) in [
-        ("session/trace_off/1024", 0u64, false),
-        ("session/trace_1in4/1024", 4, false),
-        ("session_eager/trace_off", 0, true),
+    // `session/trace_off/1024` is also the row the
+    // ≤9%-overhead-vs-`single/batched/1024` target is read from.
+    for (label, every) in [
+        ("session/trace_off/1024", 0u64),
+        ("session/trace_1in4/1024", 4),
     ] {
         group.bench_function(label, |b| {
             b.iter_batched(
@@ -365,9 +329,7 @@ fn bench_executor_throughput(c: &mut Criterion) {
                         .collect::<Vec<Batch>>()
                 },
                 |batches| {
-                    let exec = ShardedExecutor::new(1)
-                        .with_batch_size(1024)
-                        .with_eager_exchange(eager);
+                    let exec = ShardedExecutor::new(1).with_batch_size(1024);
                     let mut session = exec.session(|| q1_graph().0).unwrap();
                     session.telemetry().traces().configure(every, 7);
                     let entry = session.source_node("in").unwrap();
@@ -387,9 +349,7 @@ fn bench_executor_throughput(c: &mut Criterion) {
             b.iter_batched(
                 || feed.clone(),
                 |tuples| {
-                    let exec = ShardedExecutor::new(shards)
-                        .with_batch_size(1024)
-                        .with_eager_exchange(false);
+                    let exec = ShardedExecutor::new(shards).with_batch_size(1024);
                     let out = exec
                         .run(|| q1_graph().0, vec![("in".into(), 0, tuples)])
                         .unwrap();
@@ -403,8 +363,9 @@ fn bench_executor_throughput(c: &mut Criterion) {
     // Staged exchange pipeline: aggregate → keyed join, a two-stage
     // plan. `staged/batched` is the single-threaded run_batched
     // reference over the identical graph and feed; `staged/N` pays the
-    // exchange (canonical boundary sort + per-stage barrier at EOS) in
-    // return for two key-partitioned stages.
+    // exchange (canonical boundary sort, sealed aggregate windows
+    // forwarded per watermark interval) in return for two
+    // key-partitioned stages.
     let refs = ref_inputs();
     let staged_sink = staged_graph().1;
     group.bench_function("staged/batched/1024", |b| {
@@ -424,31 +385,6 @@ fn bench_executor_throughput(c: &mut Criterion) {
     });
     for shards in SHARD_COUNTS {
         group.bench_function(format!("staged/{shards}/1024"), |b| {
-            b.iter_batched(
-                || (feed.clone(), refs.clone()),
-                |(tuples, refs)| {
-                    let exec = ShardedExecutor::new(shards)
-                        .with_batch_size(1024)
-                        .with_eager_exchange(false);
-                    let out = exec
-                        .run(
-                            || staged_graph().0,
-                            vec![("in".into(), 0, tuples), ("refs".into(), 1, refs)],
-                        )
-                        .unwrap();
-                    out[&staged_sink].len()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    // The same two-stage plan on pipelined (default) delivery: sealed
-    // aggregate windows cross the exchange per watermark interval
-    // instead of at drain barriers, and the lean hot paths (direct
-    // stage-0 routing, columnar exchange runs, sort skip) engage. The
-    // delta against `staged/N/1024` is what eager delivery buys.
-    for shards in SHARD_COUNTS {
-        group.bench_function(format!("staged_eager/{shards}"), |b| {
             b.iter_batched(
                 || (feed.clone(), refs.clone()),
                 |(tuples, refs)| {

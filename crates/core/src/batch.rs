@@ -2,10 +2,10 @@
 //!
 //! A [`Batch`] is a run of tuples shipped through the query graph
 //! together. Moving tuples in batches amortizes per-delivery costs
-//! (channel synchronization in the threaded executor, dispatch and
-//! allocation in every executor) roughly batch-size-fold, which is what
-//! high-volume stream processing needs (§1's "must keep up with stream
-//! speed").
+//! (dispatch and allocation in every executor, worker-inbox
+//! synchronization in the sharded runtime) roughly batch-size-fold,
+//! which is what high-volume stream processing needs (§1's "must keep up
+//! with stream speed").
 //!
 //! The key fast path is [`Batch::shared_schema`]: input streams build
 //! every tuple against one `Arc<Schema>`, so operators can resolve field

@@ -19,8 +19,9 @@
 //!   Delta-method transforms), windowed group-by aggregation with every
 //!   Table-2 strategy, and windowed probabilistic joins.
 //! - [`query`] — box-arrow query graphs compiled into a [`query::CompiledPlan`]
-//!   and executed single-threaded (tuple-at-a-time or batched) or
-//!   multi-threaded (crossbeam channels carrying [`batch::Batch`]es).
+//!   and executed tuple-at-a-time or in [`batch::Batch`]es, to completion
+//!   or incrementally through an [`query::ExecSession`]; `ustream-runtime`
+//!   shards that session across cores.
 //! - [`confidence`] — intervals, highest-density unions, ellipsoids.
 //! - [`window`] — tumbling/count/sliding event-time windows.
 //! - [`canon`] — the canonical `(ts, content)` tuple order shared by
@@ -50,7 +51,7 @@ pub use error::{panic_message, EngineError, Result};
 pub use lineage::{ApproxLineage, Archive, Lineage};
 pub use metrics::{Metered, MetricsHandle, OpMetrics, OpTelemetry};
 pub use ops::{Operator, Partitioning};
-pub use query::{CompiledPlan, ExecSession, NodeId, QueryGraph, ThreadedExecutor};
+pub use query::{CompiledPlan, ExecSession, NodeId, QueryGraph};
 pub use schema::{DataType, Field, Schema};
 pub use toperator::TransformOperator;
 pub use tuple::Tuple;

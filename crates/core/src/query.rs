@@ -7,17 +7,16 @@
 //! per-node downstream adjacency, and a sink bitset — so the per-delivery
 //! cost is an array index, not an edge-list scan plus hash lookups.
 //!
-//! Three execution modes:
+//! Execution entry points:
 //!
 //! - [`QueryGraph::run`] — single-threaded tuple-at-a-time push execution
 //!   in topological order; deterministic, used by tests and harnesses.
 //! - [`QueryGraph::run_batched`] — single-threaded push execution moving
 //!   [`Batch`]es of tuples; operators with batched overrides resolve
-//!   schemas once per batch and skip per-tuple allocations.
-//! - [`ThreadedExecutor`] — one thread per operator connected by bounded
-//!   crossbeam channels carrying batches; the shape a stream engine
-//!   actually deploys. Channel synchronization is amortized
-//!   batch-size-fold.
+//!   schemas once per batch and skip per-tuple allocations. The
+//!   reference every other driver is checked against.
+//! - [`ExecSession`] — the incremental form of `run_batched`, fed batch
+//!   by batch; the sharded runtime runs one per stage × shard.
 //!
 //! Clone-avoidance rule (all modes): a tuple/batch is cloned only when
 //! fan-out requires it — once per *extra* downstream edge, plus once if
@@ -25,11 +24,12 @@
 //! pipelines never clone.
 
 use crate::batch::{Batch, BatchPool};
-use crate::error::{EngineError, Result};
+use crate::error::{panic_message, EngineError, Result};
 use crate::metrics::OpTelemetry;
 use crate::ops::Operator;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
 /// Node handle in a query graph.
@@ -61,7 +61,7 @@ struct Edge {
 /// The execution-ready form of a [`QueryGraph`]: everything the
 /// per-delivery hot path needs, resolved once.
 ///
-/// Both executors compile the same plan, so cycle detection, topological
+/// Every executor compiles the same plan, so cycle detection, topological
 /// ordering, and adjacency live in exactly one place.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
@@ -247,25 +247,13 @@ impl QueryGraph {
 
     /// Merge the named input streams into one timestamp-ordered feed of
     /// `(ts, node, port, tuple)` entries — the arrival order every
-    /// executor (single-threaded, threaded, sharded) presents to the
-    /// graph. Delegates to [`merged_feed`].
+    /// executor (single-threaded and sharded) presents to the graph.
+    /// Delegates to [`merged_feed`].
     pub fn ordered_feed(
         &self,
         inputs: Vec<(String, usize, Vec<Tuple>)>,
     ) -> Result<Vec<(u64, NodeId, usize, Tuple)>> {
         merged_feed(&self.sources, inputs)
-    }
-
-    /// Merge the named input streams into one timestamp-ordered feed of
-    /// `(ts, node, port, tuple)` entries, with positional node indices.
-    fn build_feed(
-        sources: &HashMap<String, NodeId>,
-        inputs: Vec<(String, usize, Vec<Tuple>)>,
-    ) -> Result<Vec<(u64, usize, usize, Tuple)>> {
-        Ok(merged_feed(sources, inputs)?
-            .into_iter()
-            .map(|(ts, node, port, t)| (ts, node.0, port, t))
-            .collect())
     }
 
     /// Single-threaded execution: push each (source, port, tuple) triple
@@ -280,12 +268,12 @@ impl QueryGraph {
         inputs: Vec<(String, usize, Vec<Tuple>)>,
     ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
         let plan = self.compile()?;
-        let feed = Self::build_feed(&self.sources, inputs)?;
+        let feed = self.ordered_feed(inputs)?;
         let mut collected = plan.empty_collection();
 
         // Per-push propagation in topological rank order.
         for (_, node, port, tuple) in feed {
-            self.propagate(node, port, tuple, &plan, &mut collected);
+            self.propagate(node.0, port, tuple, &plan, &mut collected);
         }
 
         // Flush in topological order, cascading flush outputs downstream.
@@ -350,43 +338,21 @@ impl QueryGraph {
     /// existence probabilities, lineage. At a fan-*in* node the arrival
     /// order of tuples from different upstream paths differs within a
     /// batch window (whole batches arrive per path instead of per-tuple
-    /// interleaving), exactly as it may under the threaded executor; an
-    /// order-sensitive fan-in operator — e.g. a join whose match
-    /// probability falls back to Monte Carlo draws from the operator's
-    /// rng — can then produce different probabilities for individual
-    /// pairs, not just a different output order.
+    /// interleaving); an order-sensitive fan-in operator — e.g. a join
+    /// whose match probability falls back to Monte Carlo draws from the
+    /// operator's rng — can then produce different probabilities for
+    /// individual pairs, not just a different output order.
     pub fn run_batched(
         &mut self,
         inputs: Vec<(String, usize, Vec<Tuple>)>,
         batch_size: usize,
     ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        let telem = fresh_telemetry(self.nodes.len());
-        self.run_batched_inner(inputs, batch_size, Some(&telem))
-    }
-
-    /// [`Self::run_batched`] with the always-on per-operator counters
-    /// switched off — the control arm of the instrumentation-overhead
-    /// A/B benchmark. Results are identical; only the counter updates
-    /// and their timestamp reads are skipped.
-    pub fn run_batched_uninstrumented(
-        &mut self,
-        inputs: Vec<(String, usize, Vec<Tuple>)>,
-        batch_size: usize,
-    ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        self.run_batched_inner(inputs, batch_size, None)
-    }
-
-    fn run_batched_inner(
-        &mut self,
-        inputs: Vec<(String, usize, Vec<Tuple>)>,
-        batch_size: usize,
-        telem: Option<&[OpTelemetry]>,
-    ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
         assert!(batch_size > 0, "batch size must be positive");
         let plan = self.compile()?;
-        let feed = Self::build_feed(&self.sources, inputs)?;
+        let feed = self.ordered_feed(inputs)?;
         let mut collected = plan.empty_collection();
         let mut pending: Vec<Vec<(usize, Batch)>> = vec![Vec::new(); self.nodes.len()];
+        let telem = fresh_telemetry(self.nodes.len());
 
         for (node, port, batch) in chunk_feed(feed, batch_size) {
             pump_batch(
@@ -395,7 +361,7 @@ impl QueryGraph {
                 &mut pending,
                 &mut collected,
                 None,
-                telem,
+                &telem,
                 node,
                 port,
                 batch,
@@ -407,7 +373,7 @@ impl QueryGraph {
             &mut pending,
             &mut collected,
             None,
-            telem,
+            &telem,
         );
         Ok(collected)
     }
@@ -450,7 +416,7 @@ impl QueryGraph {
         } = self;
         let pending = vec![Vec::new(); nodes.len()];
         let collected = plan.empty_collection();
-        let telem = Some(fresh_telemetry(nodes.len()));
+        let telem = fresh_telemetry(nodes.len());
         Ok(ExecSession {
             nodes,
             plan,
@@ -473,9 +439,9 @@ fn fresh_telemetry(n: usize) -> Vec<OpTelemetry> {
 /// Merge named input streams into one timestamp-ordered feed of
 /// `(ts, node, port, tuple)` entries. The **single home** of the feed
 /// tiebreak — `(ts, node index, port)`, stable within ties — shared by
-/// `run`/`run_batched`, the threaded executor, and the sharded
-/// session's driver: if this ordering ever changed in one executor but
-/// not another, their outputs would silently diverge.
+/// `run`/`run_batched` and the sharded session's driver: if this
+/// ordering ever changed in one executor but not another, their outputs
+/// would silently diverge.
 pub fn merged_feed(
     sources: &HashMap<String, NodeId>,
     inputs: Vec<(String, usize, Vec<Tuple>)>,
@@ -493,40 +459,38 @@ pub fn merged_feed(
     Ok(feed)
 }
 
-/// Per-node telemetry handle lookup for the executor hot paths.
+/// Call into one operator. A panic unwinding out of it is re-raised with
+/// the operator's name in front, so a driver that contains it (the
+/// sharded runtime poisons the slot) reports which box failed.
 #[inline]
-fn telem_at(telem: Option<&[OpTelemetry]>, i: usize) -> Option<&OpTelemetry> {
-    telem.map(|t| &t[i])
+fn call_op<T>(node: &mut Box<dyn Operator>, f: impl FnOnce(&mut dyn Operator) -> T) -> T {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| f(node.as_mut()))) {
+        Ok(v) => v,
+        Err(p) => std::panic::resume_unwind(Box::new(format!(
+            "`{}`: {}",
+            node.name(),
+            panic_message(p.as_ref())
+        ))),
+    }
 }
 
-/// Run one batch through an operator, recording per-operator counters
-/// when instrumentation is on. The uninstrumented arm pays only the
-/// branch — no timestamps are taken.
+/// Run one batch through an operator, recording its per-operator
+/// counters.
 #[inline]
-fn run_op_batch(
-    node: &mut Box<dyn Operator>,
-    telem: Option<&OpTelemetry>,
-    port: usize,
-    batch: Batch,
-) -> Batch {
-    match telem {
-        Some(t) => {
-            let n_in = batch.len() as u64;
-            if batch.is_columnar() {
-                t.columnar_batches.inc();
-            } else {
-                t.row_batches.inc();
-            }
-            let t0 = Instant::now();
-            let out = node.process_batch(port, batch);
-            t.busy_ns.add(t0.elapsed().as_nanos() as u64);
-            t.tuples_in.add(n_in);
-            t.tuples_out.add(out.len() as u64);
-            t.batches.inc();
-            out
-        }
-        None => node.process_batch(port, batch),
+fn run_op_batch(node: &mut Box<dyn Operator>, t: &OpTelemetry, port: usize, batch: Batch) -> Batch {
+    let n_in = batch.len() as u64;
+    if batch.is_columnar() {
+        t.columnar_batches.inc();
+    } else {
+        t.row_batches.inc();
     }
+    let t0 = Instant::now();
+    let out = call_op(node, |op| op.process_batch(port, batch));
+    t.busy_ns.add(t0.elapsed().as_nanos() as u64);
+    t.tuples_in.add(n_in);
+    t.tuples_out.add(out.len() as u64);
+    t.batches.inc();
+    out
 }
 
 /// Push one batch into `node` and drain the graph from that node's rank
@@ -539,7 +503,7 @@ fn pump_batch(
     pending: &mut [Vec<(usize, Batch)>],
     collected: &mut HashMap<NodeId, Vec<Tuple>>,
     pool: Option<&BatchPool>,
-    telem: Option<&[OpTelemetry]>,
+    telem: &[OpTelemetry],
     node: usize,
     port: usize,
     batch: Batch,
@@ -551,7 +515,7 @@ fn pump_batch(
             continue;
         }
         for (port, b) in std::mem::take(&mut pending[i]) {
-            let out = run_op_batch(&mut nodes[i], telem_at(telem, i), port, b);
+            let out = run_op_batch(&mut nodes[i], &telem[i], port, b);
             if !out.is_empty() {
                 deliver_batch(plan, pending, collected, pool, i, out);
             }
@@ -608,26 +572,20 @@ fn flush_cascade(
     pending: &mut [Vec<(usize, Batch)>],
     collected: &mut HashMap<NodeId, Vec<Tuple>>,
     pool: Option<&BatchPool>,
-    telem: Option<&[OpTelemetry]>,
+    telem: &[OpTelemetry],
 ) {
     for idx in 0..plan.order.len() {
         let i = plan.order[idx];
         for (port, b) in std::mem::take(&mut pending[i]) {
-            let out = run_op_batch(&mut nodes[i], telem_at(telem, i), port, b);
+            let out = run_op_batch(&mut nodes[i], &telem[i], port, b);
             if !out.is_empty() {
                 deliver_batch(plan, pending, collected, pool, i, out);
             }
         }
-        let fl = match telem_at(telem, i) {
-            Some(t) => {
-                let t0 = Instant::now();
-                let fl = nodes[i].flush();
-                t.busy_ns.add(t0.elapsed().as_nanos() as u64);
-                t.tuples_out.add(fl.len() as u64);
-                fl
-            }
-            None => nodes[i].flush(),
-        };
+        let t0 = Instant::now();
+        let fl = call_op(&mut nodes[i], |op| op.flush());
+        telem[i].busy_ns.add(t0.elapsed().as_nanos() as u64);
+        telem[i].tuples_out.add(fl.len() as u64);
         if !fl.is_empty() {
             deliver_batch(plan, pending, collected, pool, i, Batch::from(fl));
         }
@@ -650,9 +608,8 @@ pub struct ExecSession {
     pending: Vec<Vec<(usize, Batch)>>,
     collected: HashMap<NodeId, Vec<Tuple>>,
     pool: Option<BatchPool>,
-    /// Always-on per-node counters (`None` only when explicitly
-    /// switched off for the instrumentation-overhead A/B benchmark).
-    telem: Option<Vec<OpTelemetry>>,
+    /// Always-on per-node counters.
+    telem: Vec<OpTelemetry>,
 }
 
 impl ExecSession {
@@ -663,20 +620,11 @@ impl ExecSession {
         self
     }
 
-    /// Switch off the always-on per-node counters. Exists for the
-    /// instrumentation-overhead A/B benchmark; production drivers keep
-    /// the default.
-    pub fn without_instrumentation(mut self) -> Self {
-        self.telem = None;
-        self
-    }
-
-    /// The live per-node counters, indexed by [`NodeId::index`], or
-    /// `None` when the session was built with
-    /// [`Self::without_instrumentation`]. Handles are cloneable and
-    /// readable from other threads while the session runs.
-    pub fn node_telemetry(&self) -> Option<&[OpTelemetry]> {
-        self.telem.as_deref()
+    /// The live per-node counters, indexed by [`NodeId::index`].
+    /// Handles are cloneable and readable from other threads while the
+    /// session runs.
+    pub fn node_telemetry(&self) -> &[OpTelemetry] {
+        &self.telem
     }
 
     /// Named entry node for `name`, if the graph registered one.
@@ -702,7 +650,7 @@ impl ExecSession {
             &mut self.pending,
             &mut self.collected,
             self.pool.as_ref(),
-            self.telem.as_deref(),
+            &self.telem,
             node.0,
             port,
             batch,
@@ -725,12 +673,7 @@ impl ExecSession {
         for idx in 0..self.plan.order.len() {
             let i = self.plan.order[idx];
             for (port, b) in std::mem::take(&mut self.pending[i]) {
-                let out = run_op_batch(
-                    &mut self.nodes[i],
-                    telem_at(self.telem.as_deref(), i),
-                    port,
-                    b,
-                );
+                let out = run_op_batch(&mut self.nodes[i], &self.telem[i], port, b);
                 if !out.is_empty() {
                     deliver_batch(
                         &self.plan,
@@ -742,16 +685,10 @@ impl ExecSession {
                     );
                 }
             }
-            let closed = match telem_at(self.telem.as_deref(), i) {
-                Some(t) => {
-                    let t0 = Instant::now();
-                    let closed = self.nodes[i].advance_watermark(watermark);
-                    t.busy_ns.add(t0.elapsed().as_nanos() as u64);
-                    t.tuples_out.add(closed.len() as u64);
-                    closed
-                }
-                None => self.nodes[i].advance_watermark(watermark),
-            };
+            let t0 = Instant::now();
+            let closed = call_op(&mut self.nodes[i], |op| op.advance_watermark(watermark));
+            self.telem[i].busy_ns.add(t0.elapsed().as_nanos() as u64);
+            self.telem[i].tuples_out.add(closed.len() as u64);
             if !closed.is_empty() {
                 deliver_batch(
                     &self.plan,
@@ -793,7 +730,7 @@ impl ExecSession {
             &mut self.pending,
             &mut self.collected,
             self.pool.as_ref(),
-            self.telem.as_deref(),
+            &self.telem,
         );
         self.collected
     }
@@ -812,17 +749,17 @@ pub const COLUMNAR_MIN_CHUNK: usize = 64;
 /// column input; mixed-schema runs stay rows ([`Batch::columnarize`]
 /// declines them).
 fn chunk_feed(
-    feed: Vec<(u64, usize, usize, Tuple)>,
+    feed: Vec<(u64, NodeId, usize, Tuple)>,
     batch_size: usize,
 ) -> Vec<(usize, usize, Batch)> {
     let mut chunks: Vec<(usize, usize, Batch)> = Vec::new();
     for (_, node, port, t) in feed {
         match chunks.last_mut() {
-            Some((n, p, b)) if *n == node && *p == port && b.len() < batch_size => b.push(t),
+            Some((n, p, b)) if *n == node.0 && *p == port && b.len() < batch_size => b.push(t),
             _ => {
                 let mut b = Batch::with_capacity(batch_size.min(64));
                 b.push(t);
-                chunks.push((node, port, b));
+                chunks.push((node.0, port, b));
             }
         }
     }
@@ -832,228 +769,6 @@ fn chunk_feed(
         }
     }
     chunks
-}
-
-/// Threaded executor: each operator runs on its own thread, connected by
-/// bounded crossbeam channels (backpressure) that carry [`Batch`]es.
-/// Inputs are fed through [`ThreadedExecutor::run`]; sink outputs are
-/// returned per node.
-///
-/// **Legacy path.** Thread-per-operator parallelism is fixed by plan
-/// shape: a small graph cannot use more cores than it has boxes, and
-/// every batch pays one channel hop per edge. The sharded runtime
-/// (`ustream-runtime`'s `ShardedExecutor`) splits the *data* across
-/// key-partitioned pipeline copies instead and is the deployment path;
-/// this executor remains as the pipeline-parallel comparison point.
-///
-/// `batch_size` controls how many consecutive same-destination input
-/// tuples ride in one message; operator outputs travel as whatever batch
-/// their operator produced. Larger batches amortize channel
-/// synchronization but delay downstream work and raise per-message
-/// memory; 64–256 is a good range for operator costs in the microsecond
-/// regime, 1 degenerates to tuple-at-a-time messaging.
-pub struct ThreadedExecutor {
-    channel_capacity: usize,
-    batch_size: usize,
-}
-
-impl Default for ThreadedExecutor {
-    fn default() -> Self {
-        ThreadedExecutor {
-            channel_capacity: 1024,
-            batch_size: 128,
-        }
-    }
-}
-
-/// Message flowing between operator threads.
-enum Msg {
-    Data(usize, Batch),
-    /// One upstream of this port finished; when all inputs of a node are
-    /// done, it flushes and shuts down.
-    Eos,
-}
-
-impl ThreadedExecutor {
-    pub fn new(channel_capacity: usize) -> Self {
-        assert!(channel_capacity > 0);
-        ThreadedExecutor {
-            channel_capacity,
-            ..Default::default()
-        }
-    }
-
-    /// Set how many input tuples ride in one channel message.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Run the graph to completion on the given inputs.
-    ///
-    /// Consumes the graph (operators move onto their threads).
-    pub fn run(
-        &self,
-        graph: QueryGraph,
-        inputs: Vec<(String, usize, Vec<Tuple>)>,
-    ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        use crossbeam::channel::{bounded, Receiver, Sender};
-
-        // Shared compile step: cycle check + adjacency + sink bitset.
-        let plan = graph.compile()?;
-        let QueryGraph {
-            nodes,
-            edges,
-            sources,
-            sinks: _,
-        } = graph;
-        let n = nodes.len();
-
-        // One inbox per node; upstream count per node (for EOS tracking).
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Msg>(self.channel_capacity);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let mut upstreams = vec![0usize; n];
-        for e in &edges {
-            upstreams[e.to.0] += 1;
-        }
-        // Source nodes also receive from the driver.
-        let mut driver_feeds = vec![0usize; n];
-        for node in sources.values() {
-            driver_feeds[node.0] += 1;
-        }
-
-        // Sink collection channel.
-        let (sink_tx, sink_rx) = bounded::<(usize, Batch)>(self.channel_capacity);
-
-        let mut handles: Vec<(String, std::thread::JoinHandle<()>)> = Vec::with_capacity(n);
-        for (i, mut op) in nodes.into_iter().enumerate() {
-            let op_name = op.name().to_string();
-            let rx = receivers[i].take().expect("receiver taken once");
-            let outs: Vec<(Sender<Msg>, usize)> = plan
-                .downstream_of(NodeId(i))
-                .iter()
-                .map(|&(to, port)| (senders[to].clone(), port))
-                .collect();
-            let sink_tx = plan.is_sink(NodeId(i)).then(|| sink_tx.clone());
-            let expected_eos = upstreams[i] + driver_feeds[i];
-            let handle = std::thread::spawn(move || {
-                // Clone-avoidance mirrors the single-threaded executors:
-                // the batch moves into the last consumer, clones go to the
-                // extra ones.
-                let deliver = |outs: &[(Sender<Msg>, usize)],
-                               sink_tx: &Option<Sender<(usize, Batch)>>,
-                               batch: Batch| {
-                    if let Some(stx) = sink_tx {
-                        if outs.is_empty() {
-                            let _ = stx.send((i, batch));
-                            return;
-                        }
-                        let _ = stx.send((i, batch.clone()));
-                    } else if outs.is_empty() {
-                        return;
-                    }
-                    let ((last_tx, last_port), rest) = outs.split_last().expect("outs non-empty");
-                    for (tx, port) in rest {
-                        let _ = tx.send(Msg::Data(*port, batch.clone()));
-                    }
-                    let _ = last_tx.send(Msg::Data(*last_port, batch));
-                };
-                let mut eos_seen = 0usize;
-                while eos_seen < expected_eos.max(1) {
-                    match rx.recv() {
-                        Ok(Msg::Data(port, batch)) => {
-                            let out = op.process_batch(port, batch);
-                            if !out.is_empty() {
-                                deliver(&outs, &sink_tx, out);
-                            }
-                        }
-                        Ok(Msg::Eos) => {
-                            eos_seen += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let fl = op.flush();
-                if !fl.is_empty() {
-                    deliver(&outs, &sink_tx, Batch::from(fl));
-                }
-                for (tx, _) in &outs {
-                    let _ = tx.send(Msg::Eos);
-                }
-            });
-            handles.push((op_name, handle));
-        }
-        drop(sink_tx);
-
-        // Drain sinks concurrently with driving: with a bounded sink
-        // channel, collecting only after all inputs are fed can deadlock
-        // (driver blocked on a full inbox, workers blocked on the full
-        // sink channel).
-        let mut collected = plan.empty_collection();
-        let collector = std::thread::spawn(move || {
-            let mut got: Vec<(usize, Vec<Tuple>)> = Vec::new();
-            while let Ok((i, batch)) = sink_rx.recv() {
-                got.push((i, batch.into_vec()));
-            }
-            got
-        });
-
-        // Drive the inputs in timestamp order, batch-size tuples at a
-        // time. A failed send means the target's thread died (panicked:
-        // a worker only drops its receiver by unwinding or finishing, and
-        // no node finishes before its driver EOS) — stop feeding and fall
-        // through to the join below, which surfaces the panic.
-        let feed = QueryGraph::build_feed(&sources, inputs)?;
-        let mut feed_failed = false;
-        for (node, port, batch) in chunk_feed(feed, self.batch_size) {
-            if senders[node].send(Msg::Data(port, batch)).is_err() {
-                feed_failed = true;
-                break;
-            }
-        }
-        // Signal EOS to driver-fed nodes (once per registered source feed)
-        // and to pure-source nodes with no upstream at all.
-        for i in 0..n {
-            let feeds = driver_feeds[i];
-            for _ in 0..feeds {
-                let _ = senders[i].send(Msg::Eos);
-            }
-            if feeds == 0 && upstreams[i] == 0 {
-                let _ = senders[i].send(Msg::Eos);
-            }
-        }
-        drop(senders);
-
-        for (i, tuples) in collector.join().expect("sink collector thread") {
-            collected.entry(NodeId(i)).or_default().extend(tuples);
-        }
-        // A panicking operator must surface as an `Err` at the driver,
-        // never as a hang or a silently truncated result set.
-        let mut panics: Vec<String> = Vec::new();
-        for (name, h) in handles {
-            if let Err(payload) = h.join() {
-                panics.push(format!(
-                    "`{name}`: {}",
-                    crate::error::panic_message(payload.as_ref())
-                ));
-            }
-        }
-        if !panics.is_empty() {
-            return Err(EngineError::OperatorPanicked(panics.join("; ")));
-        }
-        if feed_failed {
-            return Err(EngineError::InvalidGraph(
-                "operator thread disconnected mid-stream".into(),
-            ));
-        }
-        Ok(collected)
-    }
 }
 
 #[cfg(test)]
@@ -1209,7 +924,7 @@ mod tests {
         let (g, sink) = doubling_graph();
         let mut s = g.into_session().unwrap();
         let node = s.source_node("in").unwrap();
-        let telem: Vec<_> = s.node_telemetry().unwrap().to_vec();
+        let telem: Vec<_> = s.node_telemetry().to_vec();
 
         // One shared schema Arc so `columnarize` accepts the run.
         let schema = Schema::builder().field("v", DataType::Int).build();
@@ -1235,80 +950,7 @@ mod tests {
     }
 
     #[test]
-    fn uninstrumented_run_matches_instrumented() {
-        let inputs: Vec<Tuple> = (0..300).map(|i| t(i, i as i64)).collect();
-        let (mut g1, sink1) = doubling_graph();
-        let a = g1
-            .run_batched(vec![("in".into(), 0, inputs.clone())], 64)
-            .unwrap()
-            .remove(&sink1)
-            .unwrap();
-        let (mut g2, sink2) = doubling_graph();
-        let b = g2
-            .run_batched_uninstrumented(vec![("in".into(), 0, inputs.clone())], 64)
-            .unwrap()
-            .remove(&sink2)
-            .unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.int("v").unwrap(), y.int("v").unwrap());
-            assert_eq!(x.ts, y.ts);
-        }
-
-        let (g3, _) = doubling_graph();
-        let s = g3.into_session().unwrap().without_instrumentation();
-        assert!(s.node_telemetry().is_none());
-    }
-
-    #[test]
-    fn threaded_matches_single_threaded() {
-        let (mut g1, sink1) = doubling_graph();
-        let inputs: Vec<Tuple> = (0..200).map(|i| t(i, i as i64)).collect();
-        let single = g1
-            .run(vec![("in".into(), 0, inputs.clone())])
-            .unwrap()
-            .remove(&sink1)
-            .unwrap();
-
-        let (g2, sink2) = doubling_graph();
-        let exec = ThreadedExecutor::default();
-        let threaded = exec
-            .run(g2, vec![("in".into(), 0, inputs)])
-            .unwrap()
-            .remove(&sink2)
-            .unwrap();
-
-        assert_eq!(single.len(), threaded.len());
-        let mut a: Vec<i64> = single.iter().map(|t| t.int("v").unwrap()).collect();
-        let mut b: Vec<i64> = threaded.iter().map(|t| t.int("v").unwrap()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn threaded_batch_size_does_not_change_results() {
-        let inputs: Vec<Tuple> = (0..200).map(|i| t(i, i as i64)).collect();
-        let mut reference: Option<Vec<i64>> = None;
-        for bs in [1usize, 3, 64, 1024] {
-            let (g, sink) = doubling_graph();
-            let exec = ThreadedExecutor::new(16).with_batch_size(bs);
-            let out = exec
-                .run(g, vec![("in".into(), 0, inputs.clone())])
-                .unwrap()
-                .remove(&sink)
-                .unwrap();
-            let mut vs: Vec<i64> = out.iter().map(|t| t.int("v").unwrap()).collect();
-            vs.sort();
-            match &reference {
-                None => reference = Some(vs),
-                Some(r) => assert_eq!(r, &vs, "batch size {bs}"),
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_flush_cascades() {
+    fn flush_only_window_reaches_sink() {
         // A windowed op that only emits on flush must still reach sinks.
         use crate::ops::aggregate::{AggFunc, AggSpec, Strategy, WindowKind, WindowedAggregate};
         use crate::updf::Updf;
@@ -1328,28 +970,29 @@ mod tests {
                 ts,
             )
         };
-        let mut g = QueryGraph::new();
-        let agg = g.add(Box::new(WindowedAggregate::new(
-            WindowKind::Tumbling(1_000_000),
-            |_| crate::value::GroupKey::Unit,
-            vec![AggSpec {
-                field: "w".into(),
-                func: AggFunc::Sum,
-                out: "total".into(),
-                strategy: Strategy::ExactParametric,
-            }],
-        )));
-        let sink = g.add(Box::new(Passthrough::new("sink")));
-        g.connect(agg, sink, 0).unwrap();
-        g.source("in", agg);
-        g.sink(sink);
+        for bs in [1usize, 64] {
+            let mut g = QueryGraph::new();
+            let agg = g.add(Box::new(WindowedAggregate::new(
+                WindowKind::Tumbling(1_000_000),
+                |_| crate::value::GroupKey::Unit,
+                vec![AggSpec {
+                    field: "w".into(),
+                    func: AggFunc::Sum,
+                    out: "total".into(),
+                    strategy: Strategy::ExactParametric,
+                }],
+            )));
+            let sink = g.add(Box::new(Passthrough::new("sink")));
+            g.connect(agg, sink, 0).unwrap();
+            g.source("in", agg);
+            g.sink(sink);
 
-        let exec = ThreadedExecutor::default();
-        let out = exec
-            .run(g, vec![("in".into(), 0, (0..5).map(mk).collect())])
-            .unwrap();
-        let results = &out[&sink];
-        assert_eq!(results.len(), 1, "window only closes at flush");
-        assert!((results[0].updf("total").unwrap().mean() - 5.0).abs() < 1e-9);
+            let out = g
+                .run_batched(vec![("in".into(), 0, (0..5).map(mk).collect())], bs)
+                .unwrap();
+            let results = &out[&sink];
+            assert_eq!(results.len(), 1, "window only closes at flush (bs {bs})");
+            assert!((results[0].updf("total").unwrap().mean() - 5.0).abs() < 1e-9);
+        }
     }
 }

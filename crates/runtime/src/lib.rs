@@ -36,12 +36,8 @@
 //!   traffic.
 //! - **Failure surfaces.** A panicking operator poisons its slot; the
 //!   driver returns
-//!   [`ustream_core::error::EngineError::OperatorPanicked`] — never a
-//!   hang, never a silently truncated result.
-//!
-//! The thread-per-operator `ThreadedExecutor` in `ustream-core` remains
-//! as the legacy comparison point; this runtime is the deployment path
-//! (data parallelism scales with cores, not with plan shape).
+//!   [`ustream_core::error::EngineError::OperatorPanicked`] naming the
+//!   operator — never a hang, never a silently truncated result.
 
 pub mod merge;
 pub mod plan;
@@ -67,25 +63,20 @@ use ustream_core::{NodeId, Tuple};
 pub struct ShardedExecutor {
     shards: usize,
     workers: Option<usize>,
-    channel_capacity: usize,
     batch_size: usize,
     pool_buffers: usize,
-    eager: bool,
 }
 
 impl ShardedExecutor {
     /// An executor with `shards` logical partitions. Worker count
-    /// defaults to `min(shards, available cores)`; pipelined (eager)
-    /// exchange delivery is on.
+    /// defaults to `min(shards, available cores)`.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         ShardedExecutor {
             shards,
             workers: None,
-            channel_capacity: 64,
             batch_size: 512,
             pool_buffers: 4 * shards,
-            eager: true,
         }
     }
 
@@ -97,30 +88,10 @@ impl ShardedExecutor {
         self
     }
 
-    /// Bound each worker's inbox to `cap` in-flight messages
-    /// (backpressure depth).
-    pub fn with_channel_capacity(mut self, cap: usize) -> Self {
-        assert!(cap > 0);
-        self.channel_capacity = cap;
-        self
-    }
-
     /// Target tuples per routed sub-batch.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0);
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Toggle **pipelined exchange delivery** (default on). When on,
-    /// each watermark interval a push seals is forwarded downstream
-    /// immediately — stage N+1 consumes interval k while stage N
-    /// produces interval k+1 — and the lean hot-path optimizations
-    /// (direct stage-0 routing, columnar exchange runs, single-slot
-    /// fast paths) engage. Output is byte-identical either way; `false`
-    /// restores the drain-barrier-only sweep for comparison runs.
-    pub fn with_eager_exchange(mut self, eager: bool) -> Self {
-        self.eager = eager;
         self
     }
 
@@ -156,10 +127,8 @@ impl ShardedExecutor {
         ShardedSession::build(
             self.shards,
             self.workers,
-            self.channel_capacity,
             self.batch_size,
             self.pool_buffers,
-            self.eager,
             &factory,
         )
     }

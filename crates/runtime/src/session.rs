@@ -69,6 +69,10 @@ use ustream_core::query::{ExecSession, QueryGraph, COLUMNAR_MIN_CHUNK};
 use ustream_core::{NodeId, Tuple};
 use ustream_telemetry::{MetricsRegistry, SpanKind, TraceDetail};
 
+/// In-flight messages each pool worker's inbox holds before the driver
+/// blocks (backpressure depth).
+const WORKER_INBOX_CAPACITY: usize = 64;
+
 /// Run a closure, converting a panic into its rendered message.
 fn catch<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
@@ -291,13 +295,6 @@ struct StagedCore {
     watermark: u64,
     failed: Option<String>,
     telem: SessionTelemetry,
-    /// Pipelined exchange delivery: forward each sealed watermark
-    /// interval downstream as soon as it seals, instead of parking it
-    /// until the next drain/finish barrier. Also gates the lean-path
-    /// optimizations (direct stage-0 routing, columnar exchange runs,
-    /// single-consumer delivery). On by default; disabled via
-    /// [`crate::ShardedExecutor::with_eager_exchange`].
-    eager: bool,
     /// Watermark as of the last eager sweep — an eager sweep runs only
     /// when the watermark has moved past it.
     eager_swept: u64,
@@ -404,10 +401,9 @@ impl StagedCore {
         result
     }
 
-    /// Ship the slot's pending run to its session. On the lean (eager)
-    /// path, runs long enough to benefit go columnar on the way in, so
-    /// downstream operators keep their vectorized kernels after the
-    /// exchange.
+    /// Ship the slot's pending run to its session. Runs long enough to
+    /// benefit go columnar on the way in, so downstream operators keep
+    /// their vectorized kernels after the exchange.
     fn flush_builder(&mut self, stage: usize, shard: usize) -> Result<()> {
         let slot = self.slot_id(stage, shard);
         if self.builders[slot].batch.is_empty() {
@@ -417,7 +413,7 @@ impl StagedCore {
         let b = &mut self.builders[slot];
         let mut batch = std::mem::replace(&mut b.batch, replacement);
         let (node, port) = (b.node, b.port);
-        if self.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+        if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
             batch.columnarize();
         }
         self.push_run_to_slot(stage, shard, node, port, batch)
@@ -470,7 +466,7 @@ impl StagedCore {
         self.push_run_to_slot(0, shard, node, port, Batch::from_columns(cols))
     }
 
-    /// Stage-0 external row batches on the lean path: compute every
+    /// Stage-0 external row batches: compute every
     /// row's shard up front (one panic guard for the whole batch instead
     /// of one per tuple), partition preserving per-shard order, and
     /// deliver each shard's run directly — no `SlotBuilder`
@@ -497,12 +493,12 @@ impl StagedCore {
         for (t, &s) in batch.into_vec().into_iter().zip(&row_shard) {
             per_shard[s].push(t);
         }
-        for shard in 0..self.shards {
-            if per_shard[shard].is_empty() {
+        for (shard, rows) in per_shard.iter_mut().enumerate() {
+            if rows.is_empty() {
                 continue;
             }
             self.flush_builder(0, shard)?;
-            let mut run = Batch::from(std::mem::take(&mut per_shard[shard]));
+            let mut run = Batch::from(std::mem::take(rows));
             if run.len() >= COLUMNAR_MIN_CHUNK {
                 run.columnarize();
             }
@@ -633,7 +629,7 @@ impl StagedCore {
     /// the barrier schedule); held sink output still waits for
     /// [`StagedCore::drain_collected`]/[`StagedCore::finish`].
     fn maybe_eager_sweep(&mut self) -> Result<()> {
-        if !self.eager || self.watermark <= self.eager_swept {
+        if self.watermark <= self.eager_swept {
             return Ok(());
         }
         self.eager_swept = self.watermark;
@@ -651,7 +647,7 @@ impl StagedCore {
             if batch.is_columnar() && self.route_columns(node.index(), port, &mut batch)? {
                 return Ok(());
             }
-            if self.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+            if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
                 return self.route_rows_direct(node.index(), port, batch);
             }
             for tuple in batch {
@@ -843,8 +839,7 @@ impl StagedCore {
                 // stage runs on a single slot its output pooled in
                 // emission order; a strictly-ascending pre-check skips
                 // the sort (and the tie pass) entirely.
-                let presorted = self.eager
-                    && (self.shards == 1 || self.plan.single_producer(stage))
+                let presorted = (self.shards == 1 || self.plan.single_producer(stage))
                     && keyed.windows(2).all(|w| w[0].0 < w[1].0);
                 if !presorted {
                     keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
@@ -861,7 +856,7 @@ impl StagedCore {
                     }
                 }
                 forwarded = keyed.len();
-                if self.eager && self.plan.single_consumer(stage) {
+                if self.plan.single_consumer(stage) {
                     // Every entry of this stage is pinned: the whole
                     // sealed interval lands on shard 0. Skip the
                     // per-tuple shard computation and builder
@@ -1085,11 +1080,6 @@ struct SingleCore {
     session: Option<ExecSession>,
     failed: Option<String>,
     telem: SessionTelemetry,
-    /// Lean staged hot path: columnarize long row pushes up front so
-    /// the pipeline runs its vectorized kernels, exactly as
-    /// `run_batched`'s chunk feed does. Shares the eager-exchange flag
-    /// since both are the same "pipelined delivery" configuration.
-    eager: bool,
     /// Highest timestamp pushed so far (event-time high water).
     high_water: u64,
     /// Watermark most recently sealed via `advance_watermark`.
@@ -1155,7 +1145,6 @@ impl ShardedSession {
                 session: Some(session),
                 failed: None,
                 telem,
-                eager: true,
                 high_water: 0,
                 sealed: 0,
                 active_trace: None,
@@ -1166,10 +1155,8 @@ impl ShardedSession {
     pub(crate) fn build(
         shards: usize,
         workers: Option<usize>,
-        channel_capacity: usize,
         batch_size: usize,
         pool_buffers: usize,
-        eager: bool,
         factory: &dyn Fn() -> QueryGraph,
     ) -> Result<ShardedSession> {
         let prototype = factory();
@@ -1185,22 +1172,7 @@ impl ShardedSession {
         // preserves exact sink *arrival* order, which multi-shard
         // release trades for the canonical order.
         if shards == 1 || !plan.is_parallel() {
-            let plan_text = plan.describe();
-            let session = prototype.into_session()?;
-            let telem = single_telemetry(&session);
-            telem.set_plan(plan_text);
-            return Ok(ShardedSession {
-                sources,
-                core: Core::Single(Box::new(SingleCore {
-                    session: Some(session),
-                    failed: None,
-                    telem,
-                    eager,
-                    high_water: 0,
-                    sealed: 0,
-                    active_trace: None,
-                })),
-            });
+            return ShardedSession::single(prototype);
         }
 
         let n = compiled.num_nodes();
@@ -1266,9 +1238,9 @@ impl ShardedSession {
             }
             let stage_sessions = split_stages(g, &plan, &stages, num_stages, &pool)?;
             for (stage, session) in stage_sessions.into_iter().enumerate() {
-                if let Some(handles) = session.node_telemetry() {
-                    let orig_of = &stages[stage].orig_of;
-                    telem.push_op_entries(handles.iter().enumerate().map(|(local, h)| {
+                let orig_of = &stages[stage].orig_of;
+                telem.push_op_entries(session.node_telemetry().iter().enumerate().map(
+                    |(local, h)| {
                         let orig = orig_of[local];
                         OpTelemetryEntry {
                             op: prototype
@@ -1280,8 +1252,8 @@ impl ShardedSession {
                             shard,
                             telem: h.clone(),
                         }
-                    }));
-                }
+                    },
+                ));
                 let slot = stage * shards + shard;
                 per_worker[shard % n_workers].insert(
                     slot,
@@ -1298,7 +1270,7 @@ impl ShardedSession {
         let mut senders: Vec<Sender<WorkerMsg>> = Vec::with_capacity(per_worker.len());
         let mut handles = Vec::with_capacity(per_worker.len());
         for slots in per_worker {
-            let (tx, rx) = bounded::<WorkerMsg>(channel_capacity);
+            let (tx, rx) = bounded::<WorkerMsg>(WORKER_INBOX_CAPACITY);
             senders.push(tx);
             let reply_tx = reply_tx.clone();
             handles.push(std::thread::spawn(move || worker_loop(rx, reply_tx, slots)));
@@ -1335,7 +1307,6 @@ impl ShardedSession {
                 watermark: 0,
                 failed: None,
                 telem,
-                eager,
                 eager_swept: 0,
                 eager_depth: vec![0; num_stages],
                 fwd_buf: Vec::new(),
@@ -1374,11 +1345,11 @@ impl ShardedSession {
     pub fn push_batch(&mut self, node: NodeId, port: usize, mut batch: Batch) -> Result<()> {
         match &mut self.core {
             Core::Single(s) => {
-                // The lean hot path: long row pushes go columnar up
-                // front (bit-identical per the columnar property
-                // suites), so a session-driven single pipeline runs the
-                // same vectorized kernels as `run_batched`'s chunk feed.
-                if s.eager && !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+                // Long row pushes go columnar up front (bit-identical
+                // per the columnar property suites), so a session-driven
+                // single pipeline runs the same vectorized kernels as
+                // `run_batched`'s chunk feed.
+                if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
                     batch.columnarize();
                 }
                 let tuples = batch.len();
@@ -1550,15 +1521,14 @@ impl ShardedSession {
 /// 1×1 telemetry bundle.
 fn single_telemetry(session: &ExecSession) -> SessionTelemetry {
     let mut telem = SessionTelemetry::new(1, 1);
-    if let Some(handles) = session.node_telemetry() {
-        telem.push_op_entries(handles.iter().enumerate().map(|(i, h)| OpTelemetryEntry {
-            op: session.operator(NodeId::from_index(i)).name().to_string(),
-            node: i,
-            stage: 0,
-            shard: 0,
-            telem: h.clone(),
-        }));
-    }
+    let handles = session.node_telemetry();
+    telem.push_op_entries(handles.iter().enumerate().map(|(i, h)| OpTelemetryEntry {
+        op: session.operator(NodeId::from_index(i)).name().to_string(),
+        node: i,
+        stage: 0,
+        shard: 0,
+        telem: h.clone(),
+    }));
     telem
 }
 

@@ -1,9 +1,8 @@
-//! The batched executors (single-threaded `run_batched` and the
-//! crossbeam-channel `ThreadedExecutor`) must produce the same results
-//! as single-threaded tuple-at-a-time push execution — the Fig. 2
-//! architecture at stream speed, with identical semantics.
+//! The batched executors (single-threaded `run_batched`, and the
+//! multi-threaded `ShardedExecutor` with a worker pool) must produce the
+//! same results as single-threaded tuple-at-a-time push execution — the
+//! Fig. 2 architecture at stream speed, with identical semantics.
 
-use std::collections::HashMap;
 use uncertain_streams::core::ops::aggregate::{
     AggFunc, AggSpec, Strategy, WindowKind, WindowedAggregate,
 };
@@ -11,8 +10,9 @@ use uncertain_streams::core::ops::join::{JoinCondition, WindowJoin};
 use uncertain_streams::core::ops::select::{Predicate, Select};
 use uncertain_streams::core::ops::Passthrough;
 use uncertain_streams::core::schema::{DataType, Schema};
-use uncertain_streams::core::{GroupKey, NodeId, QueryGraph, ThreadedExecutor, Tuple, Updf, Value};
+use uncertain_streams::core::{GroupKey, NodeId, QueryGraph, Tuple, Updf, Value};
 use uncertain_streams::prob::dist::Dist;
+use uncertain_streams::runtime::ShardedExecutor;
 
 fn build_graph() -> (QueryGraph, NodeId) {
     let mut g = QueryGraph::new();
@@ -57,24 +57,6 @@ fn inputs() -> Vec<Tuple> {
         .collect()
 }
 
-/// Canonical form of sink output for comparison.
-fn summarize(tuples: &[Tuple]) -> Vec<(String, u64, i64, i64)> {
-    let mut rows: Vec<(String, u64, i64, i64)> = tuples
-        .iter()
-        .map(|t| {
-            let total = t.updf("total").unwrap();
-            (
-                t.str("group").unwrap().to_string(),
-                t.get("window_start").unwrap().as_time().unwrap(),
-                t.int("n_tuples").unwrap(),
-                (total.mean() * 1e6).round() as i64,
-            )
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
 /// One sink row in full canonical form: group, window start, member
 /// count, scaled mean, timestamp, scaled existence, lineage ids.
 type CanonicalRow = (String, u64, i64, i64, u64, i64, Vec<u64>);
@@ -101,28 +83,58 @@ fn canonical(tuples: &[Tuple]) -> Vec<CanonicalRow> {
     rows
 }
 
-#[test]
-fn threaded_executor_matches_single_threaded() {
-    let (mut g1, sink1) = build_graph();
-    let single: HashMap<NodeId, Vec<Tuple>> = g1.run(vec![("in".into(), 0, inputs())]).unwrap();
-
-    let (g2, sink2) = build_graph();
-    let exec = ThreadedExecutor::default();
-    let threaded = exec.run(g2, vec![("in".into(), 0, inputs())]).unwrap();
-
-    let a = summarize(&single[&sink1]);
-    let b = summarize(&threaded[&sink2]);
-    assert!(!a.is_empty(), "pipeline produced output");
-    assert_eq!(a, b, "threaded and single-threaded outputs must match");
+/// The multi-threaded executor: four key-partitioned shard pipelines on a
+/// two-thread worker pool.
+fn threaded(batch_size: usize) -> ShardedExecutor {
+    ShardedExecutor::new(4)
+        .with_workers(2)
+        .with_batch_size(batch_size)
 }
 
 #[test]
+fn threaded_executor_matches_single_threaded() {
+    let shared_inputs = inputs();
+    let (mut g1, sink1) = build_graph();
+    let single = g1
+        .run(vec![("in".into(), 0, shared_inputs.clone())])
+        .unwrap();
+    let reference = canonical(&single[&sink1]);
+    assert!(!reference.is_empty(), "pipeline produced output");
+
+    let out = threaded(128)
+        .run(|| build_graph().0, vec![("in".into(), 0, shared_inputs)])
+        .unwrap();
+    assert_eq!(
+        reference,
+        canonical(&out[&sink1]),
+        "threaded and single-threaded outputs must match"
+    );
+}
+
+/// Same feed, same bytes, same order: the worker pool's scheduling never
+/// shows in the output.
+#[test]
 fn threaded_executor_is_repeatable() {
+    let shared_inputs = inputs();
     let run = || {
-        let (g, sink) = build_graph();
-        let exec = ThreadedExecutor::new(64);
-        let out = exec.run(g, vec![("in".into(), 0, inputs())]).unwrap();
-        summarize(&out[&sink])
+        let (_, sink) = build_graph();
+        let out = threaded(64)
+            .run(
+                || build_graph().0,
+                vec![("in".into(), 0, shared_inputs.clone())],
+            )
+            .unwrap();
+        out[&sink]
+            .iter()
+            .map(|t| {
+                format!(
+                    "{:?}|{:x}|{:?}",
+                    t.values(),
+                    t.existence.to_bits(),
+                    t.lineage
+                )
+            })
+            .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
 }
@@ -154,8 +166,9 @@ fn batched_run_matches_tuple_at_a_time_exactly() {
     }
 }
 
-/// The threaded executor ships batches over its channels; every batch
-/// size must yield the same sink tuples (incl. existence and lineage).
+/// The threaded executor ships routed sub-batches to its workers; every
+/// batch size must yield the same sink tuples (incl. existence and
+/// lineage).
 #[test]
 fn threaded_batch_sizes_match_tuple_at_a_time() {
     let shared_inputs = inputs();
@@ -166,14 +179,15 @@ fn threaded_batch_sizes_match_tuple_at_a_time() {
     let reference = canonical(&single[&sink1]);
 
     for bs in [1usize, 64, 1024] {
-        let (g2, sink2) = build_graph();
-        let exec = ThreadedExecutor::new(256).with_batch_size(bs);
-        let threaded = exec
-            .run(g2, vec![("in".into(), 0, shared_inputs.clone())])
+        let out = threaded(bs)
+            .run(
+                || build_graph().0,
+                vec![("in".into(), 0, shared_inputs.clone())],
+            )
             .unwrap();
         assert_eq!(
             reference,
-            canonical(&threaded[&sink2]),
+            canonical(&out[&sink1]),
             "threaded batch size {bs} diverged"
         );
     }
@@ -259,13 +273,20 @@ fn threaded_join_two_driver_sources_matches_single_threaded() {
     assert!(!reference.is_empty(), "join produced matches");
 
     for bs in [1usize, 16, 512] {
-        let (g2, sink2) = join_graph();
-        let exec = ThreadedExecutor::new(128).with_batch_size(bs);
-        let threaded = exec.run(g2, feeds(&left, &right)).unwrap();
+        let (mut g2, sink2) = join_graph();
+        let batched = g2.run_batched(feeds(&left, &right), bs).unwrap();
         assert_eq!(
             reference,
-            join_summary(&threaded[&sink2]),
-            "two-source join, batch size {bs}"
+            join_summary(&batched[&sink2]),
+            "two-source join, run_batched batch size {bs}"
+        );
+        let out = threaded(bs)
+            .run(|| join_graph().0, feeds(&left, &right))
+            .unwrap();
+        assert_eq!(
+            reference,
+            join_summary(&out[&sink2]),
+            "two-source join, threaded batch size {bs}"
         );
     }
 }
@@ -295,15 +316,18 @@ fn threaded_eos_with_fanout_reaches_all_branches() {
             }],
         )
     };
-    let mut g = QueryGraph::new();
-    let src = g.add(Box::new(Passthrough::new("src")));
-    let agg1 = g.add(Box::new(mk_agg()));
-    let agg2 = g.add(Box::new(mk_agg()));
-    g.connect(src, agg1, 0).unwrap();
-    g.connect(src, agg2, 0).unwrap();
-    g.source("in", src);
-    g.sink(agg1);
-    g.sink(agg2);
+    let build = || {
+        let mut g = QueryGraph::new();
+        let src = g.add(Box::new(Passthrough::new("src")));
+        let agg1 = g.add(Box::new(mk_agg()));
+        let agg2 = g.add(Box::new(mk_agg()));
+        g.connect(src, agg1, 0).unwrap();
+        g.connect(src, agg2, 0).unwrap();
+        g.source("in", src);
+        g.sink(agg1);
+        g.sink(agg2);
+        (g, agg1, agg2)
+    };
 
     let tuples: Vec<Tuple> = (0..25u64)
         .map(|i| {
@@ -318,14 +342,21 @@ fn threaded_eos_with_fanout_reaches_all_branches() {
         })
         .collect();
 
-    let exec = ThreadedExecutor::new(32).with_batch_size(8);
-    let out = exec.run(g, vec![("in".into(), 0, tuples)]).unwrap();
-    for (label, node) in [("agg1", agg1), ("agg2", agg2)] {
-        let results = &out[&node];
-        assert_eq!(results.len(), 1, "{label} must flush exactly one window");
-        assert!(
-            (results[0].updf("total").unwrap().mean() - 50.0).abs() < 1e-9,
-            "{label} total"
-        );
+    let (mut g, agg1, agg2) = build();
+    let batched = g
+        .run_batched(vec![("in".into(), 0, tuples.clone())], 8)
+        .unwrap();
+    let threaded = threaded(8)
+        .run(|| build().0, vec![("in".into(), 0, tuples)])
+        .unwrap();
+    for (driver, out) in [("run_batched", batched), ("threaded", threaded)] {
+        for (label, node) in [("agg1", agg1), ("agg2", agg2)] {
+            let results = &out[&node];
+            assert_eq!(results.len(), 1, "{driver}: {label} must flush one window");
+            assert!(
+                (results[0].updf("total").unwrap().mean() - 50.0).abs() < 1e-9,
+                "{driver}: {label} total"
+            );
+        }
     }
 }

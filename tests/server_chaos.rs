@@ -462,7 +462,7 @@ fn chaos_storm_over_pipelined_staged_serving() {
     subscriber.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
 
     let proxies: Vec<ChaosProxy> = (0..3)
-        .map(|p| ChaosProxy::seeded(addr, 0xEA6E_Fu64.wrapping_mul(1009).wrapping_add(p)).unwrap())
+        .map(|p| ChaosProxy::seeded(addr, 0xEA6EF_u64.wrapping_mul(1009).wrapping_add(p)).unwrap())
         .collect();
     let threads: Vec<_> = join_all(&proxies, 0xEA6EF)
         .into_iter()

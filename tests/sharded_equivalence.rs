@@ -16,7 +16,7 @@ use uncertain_streams::core::ops::select::{Predicate, Select};
 use uncertain_streams::core::ops::{Operator, Passthrough};
 use uncertain_streams::core::schema::{DataType, Schema};
 use uncertain_streams::core::{
-    EngineError, GroupKey, NodeId, QueryGraph, ThreadedExecutor, Tuple, Updf, Value,
+    canonical_sort, EngineError, GroupKey, NodeId, QueryGraph, Tuple, Updf, Value,
 };
 use uncertain_streams::prob::dist::Dist;
 use uncertain_streams::runtime::ShardedExecutor;
@@ -648,13 +648,13 @@ fn staged_agg_into_agg_on_different_key_matches_run_batched_bit_exactly() {
 
 // ---------------------------------------------------------------------
 // Pipelined (eager) exchange delivery: sealed watermark intervals cross
-// the exchange ahead of the drain barrier — a scheduling change that
+// the exchange ahead of the drain barrier — a scheduling choice that
 // must never show in the output.
 // ---------------------------------------------------------------------
 
-/// The full pipelining matrix: eager {on, off} × shards {1, 2, 8} ×
-/// workers {1, 2} over the staged agg→join graph, every cell exactly
-/// equal (values/ts/existence/lineage) to `run_batched`.
+/// The pipelining matrix: shards {1, 2, 8} × workers {1, 2} over the
+/// staged agg→join graph, every cell exactly equal
+/// (values/ts/existence/lineage) to `run_batched`.
 #[test]
 fn pipelined_delivery_matrix_matches_run_batched() {
     let (readings, refs) = agg_join_inputs();
@@ -668,47 +668,39 @@ fn pipelined_delivery_matrix_matches_run_batched() {
     let reference = joined_rows(&g.run_batched(feeds(), 64).unwrap()[&sink]);
     assert!(!reference.is_empty(), "windows joined against references");
 
-    for eager in [true, false] {
-        for shards in [1usize, 2, 8] {
-            for workers in [1usize, 2] {
-                let exec = ShardedExecutor::new(shards)
-                    .with_workers(workers)
-                    .with_batch_size(48)
-                    .with_eager_exchange(eager);
-                let out = exec.run(|| agg_join_graph().0, feeds()).unwrap();
-                assert_eq!(
-                    reference,
-                    joined_rows(&out[&sink]),
-                    "eager={eager} shards={shards} workers={workers} diverged from run_batched"
-                );
-            }
+    for shards in [1usize, 2, 8] {
+        for workers in [1usize, 2] {
+            let exec = ShardedExecutor::new(shards)
+                .with_workers(workers)
+                .with_batch_size(48);
+            let out = exec.run(|| agg_join_graph().0, feeds()).unwrap();
+            assert_eq!(
+                reference,
+                joined_rows(&out[&sink]),
+                "shards={shards} workers={workers} diverged from run_batched"
+            );
         }
     }
 }
 
-/// Byte-for-byte across the toggle: the merged output rendering (full
-/// Debug of every distribution parameter, existence bits, lineage) with
-/// pipelined delivery on must equal the drain-barrier rendering at
-/// every shard/worker config.
+/// Byte-for-byte across configurations and delivery schedules: the
+/// merged output rendering (full Debug of every distribution parameter,
+/// existence bits, lineage) is the same whether the output is drained
+/// after every push (pipelined delivery) or collected only at the
+/// finish barrier, at every shard/worker config.
 #[test]
 fn pipelined_and_barrier_delivery_render_identical_bytes() {
     let (readings, refs) = agg_join_inputs();
-    let render = |shards: usize, workers: usize, eager: bool| -> String {
-        let exec = ShardedExecutor::new(shards)
-            .with_workers(workers)
-            .with_batch_size(32)
-            .with_eager_exchange(eager);
-        let (_, sink) = agg_join_graph();
-        let out = exec
-            .run(
-                || agg_join_graph().0,
-                vec![
-                    ("readings".to_string(), 0usize, readings.clone()),
-                    ("refs".to_string(), 1usize, refs.clone()),
-                ],
-            )
-            .unwrap();
-        out[&sink]
+    let feeds = || {
+        vec![
+            ("readings".to_string(), 0usize, readings.clone()),
+            ("refs".to_string(), 1usize, refs.clone()),
+        ]
+    };
+    let (_, sink) = agg_join_graph();
+    let render = |mut tuples: Vec<Tuple>| -> String {
+        canonical_sort(&mut tuples);
+        tuples
             .iter()
             .map(|t| {
                 format!(
@@ -720,36 +712,57 @@ fn pipelined_and_barrier_delivery_render_identical_bytes() {
             })
             .collect()
     };
-    let reference = render(4, 2, true);
-    assert_eq!(
-        reference,
-        render(4, 2, false),
-        "the toggle must not change one byte"
-    );
-    assert_eq!(reference, render(2, 1, false), "barrier, other config");
-    assert_eq!(reference, render(8, 2, true), "eager, other config");
-    assert_eq!(reference, render(1, 1, true), "single pipeline agrees");
+    let exec = |shards: usize, workers: usize| {
+        ShardedExecutor::new(shards)
+            .with_workers(workers)
+            .with_batch_size(32)
+    };
+    let barrier = |shards: usize, workers: usize| -> String {
+        let mut out = exec(shards, workers)
+            .run(|| agg_join_graph().0, feeds())
+            .unwrap();
+        render(out.remove(&sink).unwrap())
+    };
+    let pipelined = |shards: usize, workers: usize| -> String {
+        let mut session = exec(shards, workers)
+            .session(|| agg_join_graph().0)
+            .unwrap();
+        let mut got: Vec<Tuple> = Vec::new();
+        for (_, node, port, tuple) in session.ordered_feed(feeds()).unwrap() {
+            session.push_batch(node, port, Batch::one(tuple)).unwrap();
+            for (n, tuples) in session.drain_collected().unwrap() {
+                assert_eq!(n, sink);
+                got.extend(tuples);
+            }
+        }
+        got.extend(session.finish().unwrap().remove(&sink).unwrap_or_default());
+        render(got)
+    };
+    let reference = barrier(4, 2);
+    assert!(!reference.is_empty());
+    for (shards, workers) in [(4usize, 2usize), (2, 1), (8, 2), (1, 1)] {
+        assert_eq!(
+            reference,
+            barrier(shards, workers),
+            "barrier, shards={shards} workers={workers}"
+        );
+        assert_eq!(
+            reference,
+            pipelined(shards, workers),
+            "pipelined, shards={shards} workers={workers}"
+        );
+    }
 }
 
-/// The eager telemetry is an honest A/B witness: a pipelined run ticks
-/// `eager_forwards` on the exchange stage, a barrier run leaves it at
-/// zero, the total exchange traffic is identical either way, the
+/// The eager telemetry is honest: a pipelined run ticks `eager_forwards`
+/// on the exchange stage, every exchanged tuple is counted once, and the
 /// run-ahead depth gauge reads zero once the finish barrier drained
-/// everything — and the outputs match exactly.
+/// everything — while the output stays equal to `run_batched`.
 #[test]
 fn eager_forward_counters_tick_only_with_pipelining_on() {
     let inputs = q1_inputs();
-    let run = |eager: bool| -> (Vec<String>, u64, u64, i64) {
-        let exec = ShardedExecutor::new(4)
-            .with_workers(2)
-            .with_batch_size(48)
-            .with_eager_exchange(eager);
-        let (_, sink) = agg_agg_graph();
-        let mut session = exec.session(|| agg_agg_graph().0).unwrap();
-        let telem = session.telemetry().clone();
-        push_feed(&mut session, vec![("in".into(), 0, inputs.clone())], 48);
-        let out = session.finish().unwrap();
-        let mut rows: Vec<String> = out[&sink]
+    let rows = |tuples: &[Tuple]| -> Vec<String> {
+        let mut rows: Vec<String> = tuples
             .iter()
             .map(|t| {
                 format!(
@@ -761,29 +774,42 @@ fn eager_forward_counters_tick_only_with_pipelining_on() {
             })
             .collect();
         rows.sort();
-        (
-            rows,
-            telem.eager_forwards(1).get(),
-            telem.exchange_forwarded(1).get(),
-            telem.interval_depth(1).get(),
-        )
+        rows
     };
+    let (mut g, sink) = agg_agg_graph();
+    let reference = rows(
+        &g.run_batched(vec![("in".into(), 0, inputs.clone())], 48)
+            .unwrap()[&sink],
+    );
+    assert!(!reference.is_empty());
 
-    let (rows_on, eager_on, fwd_on, depth_on) = run(true);
-    let (rows_off, eager_off, fwd_off, depth_off) = run(false);
-    assert!(!rows_on.is_empty());
-    assert_eq!(rows_on, rows_off, "the toggle must not change the output");
+    let exec = ShardedExecutor::new(4).with_workers(2).with_batch_size(48);
+    let mut session = exec.session(|| agg_agg_graph().0).unwrap();
+    let telem = session.telemetry().clone();
+    push_feed(&mut session, vec![("in".into(), 0, inputs)], 48);
+    let out = session.finish().unwrap();
+    assert_eq!(reference, rows(&out[&sink]));
+
     assert!(
-        eager_on > 0,
+        telem.eager_forwards(1).get() > 0,
         "pipelined delivery must have forwarded intervals ahead of the barrier"
     );
-    assert_eq!(eager_off, 0, "barrier-only runs never forward eagerly");
+    let stage0_out: u64 = telem
+        .op_entries()
+        .iter()
+        .filter(|e| e.op == "aggregate" && e.stage == 0)
+        .map(|e| e.telem.tuples_out.get())
+        .sum();
     assert_eq!(
-        fwd_on, fwd_off,
-        "the same tuples cross the exchange either way"
+        telem.exchange_forwarded(1).get(),
+        stage0_out,
+        "every tuple the cut node emitted crossed the exchange exactly once"
     );
-    assert_eq!(depth_on, 0, "the finish barrier resets the run-ahead depth");
-    assert_eq!(depth_off, 0);
+    assert_eq!(
+        telem.interval_depth(1).get(),
+        0,
+        "the finish barrier resets the run-ahead depth"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -958,20 +984,30 @@ fn panic_inputs() -> Vec<Tuple> {
         .collect()
 }
 
+/// Single pipeline and sharded alike: the typed error names the
+/// panicking operator and carries its message.
 #[test]
 fn sharded_runtime_surfaces_operator_panics() {
-    let exec = ShardedExecutor::new(4).with_workers(2).with_batch_size(8);
-    let err = exec
-        .run(
-            || panic_graph(250).0,
-            vec![("in".into(), 0, panic_inputs())],
-        )
-        .unwrap_err();
-    match err {
-        EngineError::OperatorPanicked(msg) => {
-            assert!(msg.contains("injected operator failure"), "msg: {msg}")
+    for (shards, workers) in [(1usize, 1usize), (4, 2)] {
+        let exec = ShardedExecutor::new(shards)
+            .with_workers(workers)
+            .with_batch_size(8);
+        let err = exec
+            .run(
+                || panic_graph(250).0,
+                vec![("in".into(), 0, panic_inputs())],
+            )
+            .unwrap_err();
+        match err {
+            EngineError::OperatorPanicked(msg) => {
+                assert!(
+                    msg.contains("`panic-on`"),
+                    "panicking operator named: {msg}"
+                );
+                assert!(msg.contains("injected operator failure"), "msg: {msg}");
+            }
+            other => panic!("expected OperatorPanicked, got {other:?}"),
         }
-        other => panic!("expected OperatorPanicked, got {other:?}"),
     }
 }
 
@@ -1191,20 +1227,4 @@ fn single_pipeline_session_telemetry_reconciles_without_perturbation() {
         .all()
         .iter()
         .any(|e| matches!(e.detail, TraceDetail::BatchPumped { .. })));
-}
-
-#[test]
-fn threaded_executor_surfaces_operator_panics() {
-    let (g, _) = panic_graph(250);
-    let exec = ThreadedExecutor::new(16).with_batch_size(8);
-    let err = exec
-        .run(g, vec![("in".into(), 0, panic_inputs())])
-        .unwrap_err();
-    match err {
-        EngineError::OperatorPanicked(msg) => {
-            assert!(msg.contains("panic-on"), "panicking operator named: {msg}");
-            assert!(msg.contains("injected operator failure"), "msg: {msg}");
-        }
-        other => panic!("expected OperatorPanicked, got {other:?}"),
-    }
 }

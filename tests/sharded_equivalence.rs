@@ -984,31 +984,43 @@ fn panic_inputs() -> Vec<Tuple> {
         .collect()
 }
 
-/// Single pipeline and sharded alike: the typed error names the
-/// panicking operator and carries its message.
+/// Runs the panicking graph at `shards` × `workers` and checks the typed
+/// error names the panicking operator and carries its message.
+fn assert_operator_panic_surfaces(shards: usize, workers: usize) {
+    let exec = ShardedExecutor::new(shards)
+        .with_workers(workers)
+        .with_batch_size(8);
+    let err = exec
+        .run(
+            || panic_graph(250).0,
+            vec![("in".into(), 0, panic_inputs())],
+        )
+        .unwrap_err();
+    match err {
+        EngineError::OperatorPanicked(msg) => {
+            assert!(
+                msg.contains("`panic-on`"),
+                "panicking operator named: {msg}"
+            );
+            assert!(msg.contains("injected operator failure"), "msg: {msg}");
+        }
+        other => panic!("expected OperatorPanicked, got {other:?}"),
+    }
+}
+
+/// Single pipeline and wide sharding alike surface the panic as `Err`.
 #[test]
 fn sharded_runtime_surfaces_operator_panics() {
-    for (shards, workers) in [(1usize, 1usize), (4, 2)] {
-        let exec = ShardedExecutor::new(shards)
-            .with_workers(workers)
-            .with_batch_size(8);
-        let err = exec
-            .run(
-                || panic_graph(250).0,
-                vec![("in".into(), 0, panic_inputs())],
-            )
-            .unwrap_err();
-        match err {
-            EngineError::OperatorPanicked(msg) => {
-                assert!(
-                    msg.contains("`panic-on`"),
-                    "panicking operator named: {msg}"
-                );
-                assert!(msg.contains("injected operator failure"), "msg: {msg}");
-            }
-            other => panic!("expected OperatorPanicked, got {other:?}"),
-        }
-    }
+    assert_operator_panic_surfaces(1, 1);
+    assert_operator_panic_surfaces(8, 2);
+}
+
+/// The multi-threaded configuration (four shard pipelines on a
+/// two-thread worker pool): a panic on a worker thread reaches the
+/// driver as `OperatorPanicked` naming the operator.
+#[test]
+fn threaded_executor_surfaces_operator_panics() {
+    assert_operator_panic_surfaces(4, 2);
 }
 
 /// A keyed anchor whose key attribute is minted *downstream* of the

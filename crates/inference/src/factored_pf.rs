@@ -126,16 +126,11 @@ impl FactoredFilter {
         }
         self.last_step[id] = self.step;
         let k = elapsed as f64;
-        let diffusion = self.cfg.motion.diffusion * k.sqrt();
-        let move_prob = 1.0 - (1.0 - self.cfg.motion.move_prob).powf(k);
-        let eff = MotionModel {
-            diffusion,
-            move_prob,
-            shelf_xy: self.cfg.motion.shelf_xy.clone(),
-            placement_jitter: self.cfg.motion.placement_jitter,
-        };
+        let motion = &self.cfg.motion;
+        let diffusion = motion.diffusion * k.sqrt();
+        let move_prob = 1.0 - (1.0 - motion.move_prob).powf(k);
         let rng = &mut self.rng;
-        self.clouds[id].propagate(|p| eff.propagate(p, rng));
+        self.clouds[id].propagate(|p| motion.propagate_scaled(p, diffusion, move_prob, rng));
     }
 
     /// Process one scan: the reader at `reader_pos` read exactly the
@@ -160,6 +155,7 @@ impl FactoredFilter {
         }
         stats.candidates = candidates.len();
 
+        let obs = self.cfg.obs.at(&reader_pos);
         for id in candidates {
             let idx = id as usize;
             let was_read = read_objects.contains(&id);
@@ -167,14 +163,13 @@ impl FactoredFilter {
                 continue;
             }
             self.propagate_lazy(idx);
-            let obs = self.cfg.obs;
             let cloud = &mut self.clouds[idx];
             stats.clouds_updated += 1;
             stats.particles_touched += cloud.len();
             if was_read {
-                cloud.reweight(|p| obs.likelihood_read(p, &reader_pos));
+                cloud.reweight(|p| obs.read(p));
             } else {
-                cloud.reweight(|p| obs.likelihood_missed(p, &reader_pos));
+                cloud.reweight(|p| obs.missed(p));
             }
             // Resample on degeneracy.
             if cloud.ess() < self.cfg.resample_fraction * cloud.len() as f64 {

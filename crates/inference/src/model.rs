@@ -28,13 +28,26 @@ pub struct MotionModel {
 impl MotionModel {
     /// Propagate one particle by one scan step.
     pub fn propagate(&self, p: &mut [f64; 2], rng: &mut StdRng) {
-        if !self.shelf_xy.is_empty() && rng.gen::<f64>() < self.move_prob {
+        self.propagate_scaled(p, self.diffusion, self.move_prob, rng);
+    }
+
+    /// Propagate one particle with `diffusion` and `move_prob` in place
+    /// of the per-scan ones — the folded multi-scan step of lazy
+    /// propagation.
+    pub fn propagate_scaled(
+        &self,
+        p: &mut [f64; 2],
+        diffusion: f64,
+        move_prob: f64,
+        rng: &mut StdRng,
+    ) {
+        if !self.shelf_xy.is_empty() && rng.gen::<f64>() < move_prob {
             let s = self.shelf_xy[rng.gen_range(0..self.shelf_xy.len())];
             p[0] = s[0] + self.placement_jitter * gauss(rng);
             p[1] = s[1] + self.placement_jitter * gauss(rng);
         } else {
-            p[0] += self.diffusion * gauss(rng);
-            p[1] += self.diffusion * gauss(rng);
+            p[0] += diffusion * gauss(rng);
+            p[1] += diffusion * gauss(rng);
         }
     }
 }
@@ -66,25 +79,64 @@ impl ObservationModel {
         }
     }
 
+    /// The model for one reader position, with the angle term — the
+    /// same for every particle — evaluated once.
+    #[inline]
+    pub(crate) fn at(&self, reader: &[f64; 3]) -> ScanLikelihood {
+        ScanLikelihood {
+            obs: *self,
+            reader: *reader,
+            angle_logit: self.sensing.angle_logit(self.assumed_angle),
+        }
+    }
+
     /// P(tag read | particle at `p`, reader at `reader`).
     #[inline]
     pub fn p_read(&self, p: &[f64; 2], reader: &[f64; 3]) -> f64 {
-        let dx = p[0] - reader[0];
-        let dy = p[1] - reader[1];
-        let d = (dx * dx + dy * dy + self.z_offset * self.z_offset).sqrt();
-        self.sensing.read_probability(d, self.assumed_angle)
+        self.at(reader).p_read(p)
     }
 
     /// Positive-evidence likelihood (tag WAS read).
     #[inline]
     pub fn likelihood_read(&self, p: &[f64; 2], reader: &[f64; 3]) -> f64 {
-        self.p_read(p, reader).max(1e-9)
+        self.at(reader).read(p)
     }
 
     /// Negative-evidence likelihood (tag in range was NOT read).
     #[inline]
     pub fn likelihood_missed(&self, p: &[f64; 2], reader: &[f64; 3]) -> f64 {
-        (1.0 - self.p_read(p, reader)).max(1e-9)
+        self.at(reader).missed(p)
+    }
+}
+
+/// [`ObservationModel`] at one reader position (see
+/// [`ObservationModel::at`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanLikelihood {
+    obs: ObservationModel,
+    reader: [f64; 3],
+    angle_logit: f64,
+}
+
+impl ScanLikelihood {
+    #[inline]
+    fn p_read(&self, p: &[f64; 2]) -> f64 {
+        let dx = p[0] - self.reader[0];
+        let dy = p[1] - self.reader[1];
+        let d = (dx * dx + dy * dy + self.obs.z_offset * self.obs.z_offset).sqrt();
+        self.obs.sensing.read_probability_with(d, self.angle_logit)
+    }
+
+    /// Positive-evidence likelihood (tag WAS read).
+    #[inline]
+    pub(crate) fn read(&self, p: &[f64; 2]) -> f64 {
+        self.p_read(p).max(1e-9)
+    }
+
+    /// Negative-evidence likelihood (tag in range was NOT read).
+    #[inline]
+    pub(crate) fn missed(&self, p: &[f64; 2]) -> f64 {
+        (1.0 - self.p_read(p)).max(1e-9)
     }
 }
 

@@ -52,10 +52,22 @@ impl SensingModel {
 
     /// Read probability for geometry (distance ft, angle rad).
     pub fn read_probability(&self, dist: f64, angle: f64) -> f64 {
+        self.read_probability_with(dist, self.angle_logit(angle))
+    }
+
+    /// The angle's share `b_angle·(1 − cos θ)` of the logit, for a caller
+    /// that evaluates many distances at one angle.
+    pub fn angle_logit(&self, angle: f64) -> f64 {
+        self.b_angle * (1.0 - angle.cos())
+    }
+
+    /// [`read_probability`](Self::read_probability) given the angle's
+    /// share of the logit from [`angle_logit`](Self::angle_logit).
+    pub fn read_probability_with(&self, dist: f64, angle_logit: f64) -> f64 {
         if dist > self.max_range {
             return 0.0;
         }
-        let z = self.b0 + self.b_dist * dist + self.b_angle * (1.0 - angle.cos());
+        let z = self.b0 + self.b_dist * dist + angle_logit;
         let p = 1.0 / (1.0 + (-z).exp());
         p * (1.0 - self.ambient_miss)
     }

@@ -101,23 +101,54 @@ impl ParticleCloud {
     }
 
     /// Systematic resampling to `n` equally-weighted particles.
+    ///
+    /// Works in place: the weights are the scratch buffer (each is
+    /// overwritten by its particle's copy count once the systematic sweep
+    /// has passed it), so a cloud that does not grow past its capacity
+    /// allocates nothing.
     pub fn resample(&mut self, n: usize, rng: &mut StdRng) {
         assert!(n >= 1);
         let step = 1.0 / n as f64;
         let start: f64 = rng.gen::<f64>() * step;
-        let mut out = Vec::with_capacity(n);
+        let m = self.xs.len();
         let mut acc = self.ws[0];
         let mut i = 0usize;
+        let mut copies = 0.0;
         for k in 0..n {
             let u = start + k as f64 * step;
-            while acc < u && i + 1 < self.xs.len() {
+            while acc < u && i + 1 < m {
+                self.ws[i] = copies;
+                copies = 0.0;
                 i += 1;
                 acc += self.ws[i];
             }
-            out.push(self.xs[i]);
+            copies += 1.0;
         }
-        self.xs = out;
-        self.ws = vec![1.0 / n as f64; n];
+        self.ws[i] = copies;
+        self.ws[i + 1..].fill(0.0);
+        // Survivors to the front, in order (writes never pass reads).
+        let mut kept = 0;
+        for j in 0..m {
+            if self.ws[j] > 0.0 {
+                self.xs[kept] = self.xs[j];
+                self.ws[kept] = self.ws[j];
+                kept += 1;
+            }
+        }
+        // Expand back to front: survivor j's copies land at or after
+        // index j, since every survivor before it has at least one copy,
+        // so no survivor is overwritten before it is copied.
+        self.xs.resize(n.max(m), [0.0; 2]);
+        let mut end = n;
+        for j in (0..kept).rev() {
+            let x = self.xs[j];
+            let c = self.ws[j] as usize;
+            self.xs[end - c..end].fill(x);
+            end -= c;
+        }
+        self.xs.truncate(n);
+        self.ws.clear();
+        self.ws.resize(n, 1.0 / n as f64);
     }
 
     /// Posterior mean (x, y).
@@ -204,6 +235,34 @@ mod tests {
             (c.ess() - 4000.0).abs() < 1e-6,
             "equal weights after resample"
         );
+    }
+
+    #[test]
+    fn in_place_resample_matches_systematic_gather() {
+        for (m, n) in [(100, 100), (100, 25), (25, 100), (7, 1), (1, 9)] {
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut c = ParticleCloud::uniform(m, (60.0, 60.0), &mut rng);
+            c.reweight(|p| (-((p[0] - 20.0).powi(2) + (p[1] - 30.0).powi(2)) / 50.0).exp());
+            let (xs, ws) = (c.xs.clone(), c.ws.clone());
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut reference_rng = rng.clone();
+            c.resample(n, &mut rng);
+            // The textbook form: gather into a fresh buffer.
+            let step = 1.0 / n as f64;
+            let start = reference_rng.gen::<f64>() * step;
+            let (mut acc, mut i) = (ws[0], 0);
+            let expected: Vec<[f64; 2]> = (0..n)
+                .map(|k| {
+                    while acc < start + k as f64 * step && i + 1 < m {
+                        i += 1;
+                        acc += ws[i];
+                    }
+                    xs[i]
+                })
+                .collect();
+            assert_eq!(c.particles(), &expected[..], "{m} -> {n}");
+            assert!(c.weights().iter().all(|&w| w == 1.0 / n as f64));
+        }
     }
 
     #[test]

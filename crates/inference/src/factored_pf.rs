@@ -11,12 +11,17 @@
 //!   resampled down to a fraction of the particle budget.
 //! - **Lazy propagation**: an object's motion model is applied only when
 //!   the object is touched, folding the elapsed scans into one step.
+//! - **Parallel update**: each object draws from its own random stream,
+//!   seeded from the filter seed and the object's id, so its update reads
+//!   only its own state and the scan. A scan's candidate clouds are
+//!   therefore updated on every core, and the result is the same whatever
+//!   the update order or worker count.
 
 use crate::cloud::ParticleCloud;
-use crate::model::{MotionModel, ObservationModel};
+use crate::model::{MotionModel, ObservationModel, ScanLikelihood};
 use crate::spatial::SpatialGrid;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Compression settings (§4.1).
 #[derive(Debug, Clone, Copy)]
@@ -48,50 +53,151 @@ pub struct FactoredConfig {
 }
 
 /// Per-scan work statistics (ablation measurements).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     pub candidates: usize,
     pub clouds_updated: usize,
     pub particles_touched: usize,
 }
 
+/// One object's filter state: everything its update reads or writes
+/// besides the scan itself.
+struct Track {
+    cloud: ParticleCloud,
+    /// This object's own random stream.
+    rng: StdRng,
+    /// Scan index at which the cloud was last propagated.
+    last_step: u64,
+    /// Posterior mean after the last update (the index is keyed on it).
+    mean: [f64; 2],
+}
+
+/// What every update of one scan shares, read-only.
+struct ScanContext<'a> {
+    step: u64,
+    obs: ScanLikelihood,
+    cfg: &'a FactoredConfig,
+}
+
+impl Track {
+    /// Apply one scan's evidence; returns the particles touched.
+    fn update(&mut self, was_read: bool, scan: &ScanContext) -> usize {
+        let cfg = scan.cfg;
+        // Lazy propagation: fold the scans elapsed since the cloud was
+        // last touched into one motion step.
+        let elapsed = scan.step - self.last_step;
+        if elapsed > 0 {
+            self.last_step = scan.step;
+            let k = elapsed as f64;
+            let motion = &cfg.motion;
+            let diffusion = motion.diffusion * k.sqrt();
+            let move_prob = 1.0 - (1.0 - motion.move_prob).powf(k);
+            let rng = &mut self.rng;
+            self.cloud
+                .propagate(|p| motion.propagate_scaled(p, diffusion, move_prob, rng));
+        }
+        let cloud = &mut self.cloud;
+        let touched = cloud.len();
+        if was_read {
+            cloud.reweight(|p| scan.obs.read(p));
+        } else {
+            cloud.reweight(|p| scan.obs.missed(p));
+        }
+        // Resample on degeneracy.
+        if cloud.ess() < cfg.resample_fraction * cloud.len() as f64 {
+            let n = cloud.len();
+            cloud.resample(n, &mut self.rng);
+        }
+        // Compression / decompression.
+        if let Some(comp) = cfg.compression {
+            let spread = cloud.spread();
+            if spread < comp.spread_threshold && cloud.len() > comp.min_particles {
+                cloud.resample(comp.min_particles, &mut self.rng);
+            } else if spread > 2.0 * comp.spread_threshold && cloud.len() < cfg.num_particles {
+                cloud.resample(cfg.num_particles, &mut self.rng);
+            }
+        }
+        self.mean = cloud.mean();
+        touched
+    }
+}
+
+/// Update `batch` — each track with its read flag — split into `workers`
+/// chunks, the calling thread running the first; returns the particles
+/// touched. Tracks share nothing, so the chunking cannot change a result.
+fn update_tracks(batch: &mut [(&mut Track, bool)], scan: &ScanContext, workers: usize) -> usize {
+    let run = |chunk: &mut [(&mut Track, bool)]| -> usize {
+        chunk
+            .iter_mut()
+            .map(|(t, read)| t.update(*read, scan))
+            .sum()
+    };
+    let size = batch.len().div_ceil(workers).max(1);
+    let mut chunks = batch.chunks_mut(size);
+    let Some(own) = chunks.next() else {
+        return 0;
+    };
+    std::thread::scope(|s| {
+        let others: Vec<_> = chunks.map(|c| s.spawn(move || run(c))).collect();
+        let mut touched = run(own);
+        for h in others {
+            touched += h.join().expect("a cloud update panicked");
+        }
+        touched
+    })
+}
+
 /// The factored filter over `num_objects` hidden positions.
 pub struct FactoredFilter {
-    clouds: Vec<ParticleCloud>,
-    /// Scan index at which each cloud was last propagated.
-    last_step: Vec<u64>,
+    tracks: Vec<Track>,
+    /// Scan index at which each object was last a candidate, and last
+    /// read: per-scan membership without searching the scan's lists.
+    candidate_at: Vec<u64>,
+    read_at: Vec<u64>,
     step: u64,
     grid: Option<SpatialGrid>,
     cfg: FactoredConfig,
-    rng: StdRng,
+    /// Chunks a scan's update is split into: the cores available.
+    workers: usize,
 }
 
 impl FactoredFilter {
     pub fn new(num_objects: usize, cfg: FactoredConfig) -> Self {
         assert!(num_objects >= 1 && cfg.num_particles >= 2);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let clouds: Vec<ParticleCloud> = (0..num_objects)
-            .map(|_| ParticleCloud::uniform(cfg.num_particles, cfg.extent, &mut rng))
+        // Object i's stream is seeded by the i-th draw of the filter's.
+        let mut seeds = StdRng::seed_from_u64(cfg.seed);
+        let tracks: Vec<Track> = (0..num_objects)
+            .map(|_| {
+                let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+                let cloud = ParticleCloud::uniform(cfg.num_particles, cfg.extent, &mut rng);
+                Track {
+                    mean: cloud.mean(),
+                    cloud,
+                    rng,
+                    last_step: 0,
+                }
+            })
             .collect();
         let grid = cfg.use_spatial_index.then(|| {
             let mut g = SpatialGrid::new(cfg.extent, cfg.obs.sensing.max_range / 2.0, num_objects);
-            for (i, c) in clouds.iter().enumerate() {
-                g.update(i as u32, &c.mean());
+            for (i, t) in tracks.iter().enumerate() {
+                g.update(i as u32, &t.mean);
             }
             g
         });
         FactoredFilter {
-            last_step: vec![0; num_objects],
-            clouds,
+            tracks,
+            candidate_at: vec![0; num_objects],
+            read_at: vec![0; num_objects],
             step: 0,
             grid,
             cfg,
-            rng,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
     pub fn num_objects(&self) -> usize {
-        self.clouds.len()
+        self.tracks.len()
     }
 
     pub fn config(&self) -> &FactoredConfig {
@@ -100,11 +206,11 @@ impl FactoredFilter {
 
     /// Posterior mean of an object's position.
     pub fn estimate(&self, id: u32) -> [f64; 2] {
-        self.clouds[id as usize].mean()
+        self.tracks[id as usize].cloud.mean()
     }
 
     pub fn cloud(&self, id: u32) -> &ParticleCloud {
-        &self.clouds[id as usize]
+        &self.tracks[id as usize].cloud
     }
 
     /// Change the per-object particle budget (adaptive control, §4.2).
@@ -112,32 +218,16 @@ impl FactoredFilter {
     pub fn set_particle_count(&mut self, n: usize) {
         assert!(n >= 2);
         self.cfg.num_particles = n;
-        for c in self.clouds.iter_mut() {
-            c.resample(n, &mut self.rng);
+        for t in self.tracks.iter_mut() {
+            t.cloud.resample(n, &mut t.rng);
         }
-    }
-
-    /// Fold the scans elapsed since the cloud was last touched into one
-    /// motion step (lazy propagation).
-    fn propagate_lazy(&mut self, id: usize) {
-        let elapsed = self.step - self.last_step[id];
-        if elapsed == 0 {
-            return;
-        }
-        self.last_step[id] = self.step;
-        let k = elapsed as f64;
-        let motion = &self.cfg.motion;
-        let diffusion = motion.diffusion * k.sqrt();
-        let move_prob = 1.0 - (1.0 - motion.move_prob).powf(k);
-        let rng = &mut self.rng;
-        self.clouds[id].propagate(|p| motion.propagate_scaled(p, diffusion, move_prob, rng));
     }
 
     /// Process one scan: the reader at `reader_pos` read exactly the
     /// objects in `read_objects` (ids). Returns work statistics.
     pub fn process_scan(&mut self, reader_pos: [f64; 3], read_objects: &[u32]) -> ScanStats {
         self.step += 1;
-        let mut stats = ScanStats::default();
+        let step = self.step;
 
         // Candidate set: near the reader per the index, or everyone.
         let mut candidates: Vec<u32> = match &self.grid {
@@ -145,51 +235,50 @@ impl FactoredFilter {
                 &[reader_pos[0], reader_pos[1]],
                 self.cfg.obs.sensing.max_range * 1.25,
             ),
-            None => (0..self.clouds.len() as u32).collect(),
+            None => (0..self.tracks.len() as u32).collect(),
         };
+        for &id in &candidates {
+            self.candidate_at[id as usize] = step;
+        }
         // Read objects are always updated, even if mis-indexed.
         for &r in read_objects {
-            if !candidates.contains(&r) {
+            let r_idx = r as usize;
+            self.read_at[r_idx] = step;
+            if self.candidate_at[r_idx] != step {
+                self.candidate_at[r_idx] = step;
                 candidates.push(r);
             }
         }
-        stats.candidates = candidates.len();
 
-        let obs = self.cfg.obs.at(&reader_pos);
-        for id in candidates {
-            let idx = id as usize;
-            let was_read = read_objects.contains(&id);
-            if !was_read && !self.cfg.negative_evidence {
-                continue;
-            }
-            self.propagate_lazy(idx);
-            let cloud = &mut self.clouds[idx];
-            stats.clouds_updated += 1;
-            stats.particles_touched += cloud.len();
-            if was_read {
-                cloud.reweight(|p| obs.read(p));
-            } else {
-                cloud.reweight(|p| obs.missed(p));
-            }
-            // Resample on degeneracy.
-            if cloud.ess() < self.cfg.resample_fraction * cloud.len() as f64 {
-                let n = cloud.len();
-                cloud.resample(n, &mut self.rng);
-            }
-            // Compression / decompression.
-            if let Some(comp) = self.cfg.compression {
-                let spread = cloud.spread();
-                if spread < comp.spread_threshold && cloud.len() > comp.min_particles {
-                    cloud.resample(comp.min_particles, &mut self.rng);
-                } else if spread > 2.0 * comp.spread_threshold
-                    && cloud.len() < self.cfg.num_particles
-                {
-                    cloud.resample(self.cfg.num_particles, &mut self.rng);
+        // Unread candidates get negative evidence, if enabled. The batch
+        // is in id order, which borrows each track once; the order does
+        // not matter to the result.
+        let negative = self.cfg.negative_evidence;
+        let mut batch: Vec<(&mut Track, bool)> = self
+            .tracks
+            .iter_mut()
+            .zip(self.candidate_at.iter().zip(&self.read_at))
+            .filter(|&(_, (&cand, &read))| cand == step && (read == step || negative))
+            .map(|(t, (_, &read))| (t, read == step))
+            .collect();
+        let scan = ScanContext {
+            step,
+            obs: self.cfg.obs.at(&reader_pos),
+            cfg: &self.cfg,
+        };
+        let stats = ScanStats {
+            candidates: candidates.len(),
+            clouds_updated: batch.len(),
+            particles_touched: update_tracks(&mut batch, &scan, self.workers),
+        };
+
+        // Keep the index keyed on fresh estimates.
+        if let Some(g) = &mut self.grid {
+            for id in candidates {
+                let idx = id as usize;
+                if self.read_at[idx] == step || negative {
+                    g.update(id, &self.tracks[idx].mean);
                 }
-            }
-            // Keep the index keyed on fresh estimates.
-            if let Some(g) = &mut self.grid {
-                g.update(id, &self.clouds[idx].mean());
             }
         }
         stats
@@ -200,7 +289,7 @@ impl FactoredFilter {
     pub fn rmse(&self, truth: &[[f64; 2]], ids: &[u32]) -> f64 {
         let all: Vec<u32>;
         let ids = if ids.is_empty() {
-            all = (0..self.clouds.len() as u32).collect();
+            all = (0..self.tracks.len() as u32).collect();
             &all
         } else {
             ids
@@ -290,6 +379,141 @@ mod tests {
             last_truth = scan.truth.object_xy.clone();
         }
         (filter, last_truth)
+    }
+
+    const DET_OBJECTS: usize = 120;
+    /// One scan as the filter sees it: reader position and the ids read.
+    type ScanInput = ([f64; 3], Vec<u32>);
+    const DET_COMPRESSED: usize = 15;
+
+    /// A 200-scan trace (reader position, ids read) and a config
+    /// that reaches every update path: shelf jumps, resampling,
+    /// compression and decompression.
+    fn determinism_setup() -> (FactoredConfig, Vec<ScanInput>) {
+        let mut gen = TraceGenerator::new(TraceConfig {
+            world: WorldConfig {
+                shelf_rows: 6,
+                shelf_cols: 6,
+                num_objects: DET_OBJECTS,
+                move_prob: 0.01,
+                seed: 21,
+                ..Default::default()
+            },
+            sensing: SensingModel::clean(),
+            seed: 23,
+            ..Default::default()
+        });
+        let cfg = FactoredConfig {
+            num_particles: 60,
+            extent: gen.world.extent(),
+            motion: MotionModel {
+                diffusion: 0.05,
+                move_prob: 0.01,
+                shelf_xy: gen
+                    .world
+                    .shelves()
+                    .iter()
+                    .map(|s| [s.pos[0], s.pos[1]])
+                    .collect(),
+                placement_jitter: 0.8,
+            },
+            obs: ObservationModel::new(*gen.sensing()),
+            use_spatial_index: true,
+            compression: Some(CompressionConfig {
+                spread_threshold: 2.5,
+                min_particles: DET_COMPRESSED,
+            }),
+            negative_evidence: true,
+            resample_fraction: 0.5,
+            seed: 29,
+        };
+        let scans = (0..200)
+            .map(|_| {
+                let scan = gen.next_scan();
+                let read = scan
+                    .readings
+                    .iter()
+                    .filter_map(|r| match r.tag {
+                        TagRef::Object(id) => Some(id),
+                        TagRef::Shelf(_) => None,
+                    })
+                    .collect();
+                (scan.truth.reader_pos, read)
+            })
+            .collect();
+        (cfg, scans)
+    }
+
+    fn assert_same_tracks(a: &FactoredFilter, b: &FactoredFilter, what: &str) {
+        for (id, (ta, tb)) in a.tracks.iter().zip(&b.tracks).enumerate() {
+            assert_eq!(
+                ta.cloud.particles(),
+                tb.cloud.particles(),
+                "{what}: object {id}"
+            );
+            assert_eq!(
+                ta.cloud.weights(),
+                tb.cloud.weights(),
+                "{what}: object {id}"
+            );
+            assert_eq!(ta.mean, tb.mean, "{what}: object {id}");
+        }
+    }
+
+    #[test]
+    fn parallel_update_is_independent_of_worker_count() {
+        let (cfg, scans) = determinism_setup();
+        let run = |workers| {
+            let mut f = FactoredFilter::new(DET_OBJECTS, cfg.clone());
+            f.workers = workers;
+            let stats: Vec<ScanStats> = scans
+                .iter()
+                .map(|(pos, read)| f.process_scan(*pos, read))
+                .collect();
+            (f, stats)
+        };
+        let (one, stats_one) = run(1);
+        assert!(
+            one.tracks.iter().any(|t| t.cloud.len() == DET_COMPRESSED),
+            "the trace compresses some cloud"
+        );
+        for workers in [2, 4] {
+            let (f, stats) = run(workers);
+            assert_eq!(stats, stats_one, "{workers} workers");
+            assert_same_tracks(&f, &one, &format!("{workers} workers"));
+        }
+    }
+
+    #[test]
+    fn update_order_does_not_change_clouds() {
+        let (cfg, scans) = determinism_setup();
+        let (pos, _) = scans[100];
+        let update = |reversed: bool| {
+            let mut f = FactoredFilter::new(DET_OBJECTS, cfg.clone());
+            for (pos, read) in &scans[..100] {
+                f.process_scan(*pos, read);
+            }
+            let scan = ScanContext {
+                step: f.step + 1,
+                obs: f.cfg.obs.at(&pos),
+                cfg: &f.cfg,
+            };
+            let mut batch: Vec<(&mut Track, bool)> = f
+                .tracks
+                .iter_mut()
+                .enumerate()
+                .map(|(id, t)| (t, id % 3 == 0))
+                .collect();
+            if reversed {
+                batch.reverse();
+            }
+            let touched = update_tracks(&mut batch, &scan, 1);
+            (f, touched)
+        };
+        let (forward, touched_forward) = update(false);
+        let (backward, touched_backward) = update(true);
+        assert_eq!(touched_forward, touched_backward);
+        assert_same_tracks(&forward, &backward, "reversed order");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! - [`joint_pf`] — the unoptimized joint-state baseline (§4.1's 0.1
 //!   readings/second design).
 //! - [`factored_pf`] — factorization + spatial indexing + compression +
-//!   lazy propagation (the >1000 readings/second design).
+//!   lazy propagation (the >1000 readings/second design), with a
+//!   random stream per object so a scan's clouds update in parallel and
+//!   the result does not depend on update order or worker count.
 //! - [`spatial`] — the uniform-grid index.
 //! - [`adaptive`] — §4.2 reference-tag probe and double-then-decrement
 //!   particle-count controller.

@@ -10,8 +10,9 @@ pub struct SpatialGrid {
     cols: usize,
     rows: usize,
     cells: Vec<Vec<u32>>,
-    /// Current cell of each object (for O(1) relocation).
-    locs: Vec<Option<usize>>,
+    /// Current cell of each object and its position in that cell's
+    /// bucket (for O(1) relocation).
+    locs: Vec<Option<(usize, usize)>>,
 }
 
 impl SpatialGrid {
@@ -37,17 +38,19 @@ impl SpatialGrid {
     /// Insert or move an object to its new estimated position.
     pub fn update(&mut self, id: u32, xy: &[f64; 2]) {
         let new_cell = self.cell_of(xy);
-        if let Some(old) = self.locs[id as usize] {
+        if let Some((old, slot)) = self.locs[id as usize] {
             if old == new_cell {
                 return;
             }
             let bucket = &mut self.cells[old];
-            if let Some(pos) = bucket.iter().position(|&o| o == id) {
-                bucket.swap_remove(pos);
+            bucket.swap_remove(slot);
+            if let Some(&moved) = bucket.get(slot) {
+                self.locs[moved as usize] = Some((old, slot));
             }
         }
-        self.cells[new_cell].push(id);
-        self.locs[id as usize] = Some(new_cell);
+        let bucket = &mut self.cells[new_cell];
+        self.locs[id as usize] = Some((new_cell, bucket.len()));
+        bucket.push(id);
     }
 
     /// All objects whose estimated position lies within `radius` of `xy`
@@ -107,6 +110,26 @@ mod tests {
         assert!(!g.candidates(&[5.0, 5.0], 5.0).contains(&0));
         assert!(g.candidates(&[55.0, 55.0], 5.0).contains(&0));
         assert_eq!(g.len(), 1, "still a single entry");
+    }
+
+    #[test]
+    fn relocations_keep_every_slot_pointing_at_its_object() {
+        // Few cells, many objects, many moves: every removal swaps some
+        // other object into the vacated slot.
+        let n = 50u32;
+        let mut g = SpatialGrid::new((30.0, 30.0), 10.0, n as usize);
+        for step in 0..2_000u32 {
+            let id = (step * 7) % n;
+            let xy = [((step * 13) % 30) as f64, ((step * 17) % 30) as f64];
+            g.update(id, &xy);
+        }
+        for (id, loc) in g.locs.iter().enumerate() {
+            if let Some((cell, slot)) = *loc {
+                assert_eq!(g.cells[cell][slot], id as u32);
+            }
+        }
+        let indexed: usize = g.cells.iter().map(Vec::len).sum();
+        assert_eq!(indexed, g.len(), "each object in exactly one bucket");
     }
 
     #[test]

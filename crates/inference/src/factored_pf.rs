@@ -382,13 +382,12 @@ mod tests {
     }
 
     const DET_OBJECTS: usize = 120;
+    const DET_COMPRESSED: usize = 15;
     /// One scan as the filter sees it: reader position and the ids read.
     type ScanInput = ([f64; 3], Vec<u32>);
-    const DET_COMPRESSED: usize = 15;
 
-    /// A 200-scan trace (reader position, ids read) and a config
-    /// that reaches every update path: shelf jumps, resampling,
-    /// compression and decompression.
+    /// A 200-scan trace and a config that reaches shelf jumps,
+    /// resampling and compression.
     fn determinism_setup() -> (FactoredConfig, Vec<ScanInput>) {
         let mut gen = TraceGenerator::new(TraceConfig {
             world: WorldConfig {

@@ -34,7 +34,7 @@ impl MotionModel {
     /// Propagate one particle with `diffusion` and `move_prob` in place
     /// of the per-scan ones — the folded multi-scan step of lazy
     /// propagation.
-    pub fn propagate_scaled(
+    pub(crate) fn propagate_scaled(
         &self,
         p: &mut [f64; 2],
         diffusion: f64,

@@ -49,7 +49,7 @@ pub use columnar::{Column, Columns};
 pub use confidence::{confidence_region, ConfidenceRegion};
 pub use error::{panic_message, EngineError, Result};
 pub use lineage::{ApproxLineage, Archive, Lineage};
-pub use metrics::{Metered, MetricsHandle, OpMetrics, OpTelemetry};
+pub use metrics::OpTelemetry;
 pub use ops::{Operator, Partitioning};
 pub use query::{CompiledPlan, ExecSession, NodeId, QueryGraph};
 pub use schema::{DataType, Field, Schema};

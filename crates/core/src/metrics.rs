@@ -1,101 +1,21 @@
-//! Operator instrumentation: throughput and latency metering.
+//! Operator instrumentation: always-on per-operator counters.
 //!
 //! "Processing of raw data must keep up with stream speed" (§1) — the
-//! engine therefore makes per-operator cost observable. Wrap any
-//! operator in [`Metered`] and read its [`OpMetrics`] snapshot; the
-//! bench harnesses and the examples use this to report tuples/second
-//! without hand-rolled timing.
+//! engine therefore makes per-operator cost observable. Every batched
+//! executor records an [`OpTelemetry`] for every node, with no wrapper;
+//! the server serves those cells as the `engine_op_*` metric families.
 //!
 //! The counters are `ustream-telemetry` atomic [`Counter`]s, so the
-//! per-tuple record path is four relaxed `fetch_add`s — no lock is
-//! taken anywhere on the hot path, and a [`MetricsHandle`] can be
-//! adopted into a [`ustream_telemetry::MetricsRegistry`] so the same
-//! cells a `Metered` wrapper bumps also feed a served metrics surface.
+//! record path is a handful of relaxed `fetch_add`s — no lock is taken
+//! anywhere on the hot path.
 
-use crate::batch::Batch;
-use crate::ops::Operator;
-use crate::tuple::Tuple;
-use std::time::{Duration, Instant};
 use ustream_telemetry::Counter;
-
-/// A snapshot of an operator's counters.
-#[derive(Debug, Clone, Default)]
-pub struct OpMetrics {
-    pub tuples_in: u64,
-    pub tuples_out: u64,
-    /// Total time spent inside `process`/`flush`.
-    pub busy: Duration,
-    /// Number of `process` invocations.
-    pub calls: u64,
-}
-
-impl OpMetrics {
-    /// Input tuples per second of busy time, or `None` while the busy
-    /// time is still below timer resolution — a rate computed against a
-    /// zero denominator is "not yet measurable", not zero.
-    pub fn throughput(&self) -> Option<f64> {
-        let secs = self.busy.as_secs_f64();
-        (secs > 0.0).then(|| self.tuples_in as f64 / secs)
-    }
-
-    /// Mean busy time per input tuple, or `None` before any input has
-    /// been observed.
-    pub fn mean_latency(&self) -> Option<Duration> {
-        (self.tuples_in > 0).then(|| self.busy.div_f64(self.tuples_in as f64))
-    }
-
-    /// Output/input amplification factor.
-    pub fn selectivity(&self) -> f64 {
-        if self.tuples_in == 0 {
-            0.0
-        } else {
-            self.tuples_out as f64 / self.tuples_in as f64
-        }
-    }
-}
-
-/// Shared handle to an operator's live metrics: four atomic counter
-/// cells, readable from any thread while the operator runs.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsHandle {
-    tuples_in: Counter,
-    tuples_out: Counter,
-    busy_ns: Counter,
-    calls: Counter,
-}
-
-impl MetricsHandle {
-    /// A consistent-enough point-in-time copy (each cell is read once,
-    /// relaxed — counters may be mid-update, but each value is a real
-    /// value the counter held).
-    pub fn snapshot(&self) -> OpMetrics {
-        OpMetrics {
-            tuples_in: self.tuples_in.get(),
-            tuples_out: self.tuples_out.get(),
-            busy: Duration::from_nanos(self.busy_ns.get()),
-            calls: self.calls.get(),
-        }
-    }
-
-    /// The underlying counter cells, in `(tuples_in, tuples_out,
-    /// busy_ns, calls)` order — for adopting into a
-    /// [`ustream_telemetry::MetricsRegistry`] so a served metrics
-    /// surface reads the very cells the wrapper bumps.
-    pub fn cells(&self) -> (Counter, Counter, Counter, Counter) {
-        (
-            self.tuples_in.clone(),
-            self.tuples_out.clone(),
-            self.busy_ns.clone(),
-            self.calls.clone(),
-        )
-    }
-}
 
 /// Always-on per-operator execution counters recorded by the batched
 /// executors themselves ([`crate::query::ExecSession`],
-/// [`crate::query::QueryGraph::run_batched`]) — no [`Metered`] wrapper
-/// needed, no lock taken: every field is a relaxed atomic cell cheap
-/// enough to leave enabled on the hot path.
+/// [`crate::query::QueryGraph::run_batched`]) — no wrapper needed, no
+/// lock taken: every field is a relaxed atomic cell cheap enough to
+/// leave enabled on the hot path.
 ///
 /// `columnar_batches` vs `row_batches` is the fast-path hit rate: how
 /// often an operator received column input (vectorized kernels) versus
@@ -121,200 +41,5 @@ impl OpTelemetry {
         let c = self.columnar_batches.get();
         let r = self.row_batches.get();
         (c + r > 0).then(|| c as f64 / (c + r) as f64)
-    }
-}
-
-/// An operator wrapper that meters its inner operator.
-pub struct Metered<O: Operator> {
-    inner: O,
-    handle: MetricsHandle,
-}
-
-impl<O: Operator> Metered<O> {
-    /// Wrap an operator; returns the wrapper and a cloneable handle for
-    /// reading metrics while the graph runs (also from other threads).
-    pub fn new(inner: O) -> (Self, MetricsHandle) {
-        let handle = MetricsHandle::default();
-        (
-            Metered {
-                inner,
-                handle: handle.clone(),
-            },
-            handle,
-        )
-    }
-}
-
-impl<O: Operator> Operator for Metered<O> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn num_ports(&self) -> usize {
-        self.inner.num_ports()
-    }
-
-    fn process(&mut self, port: usize, tuple: Tuple) -> Vec<Tuple> {
-        let t0 = Instant::now();
-        let out = self.inner.process(port, tuple);
-        let h = &self.handle;
-        h.tuples_in.inc();
-        h.tuples_out.add(out.len() as u64);
-        h.busy_ns.add(t0.elapsed().as_nanos() as u64);
-        h.calls.inc();
-        out
-    }
-
-    /// Meters the *inner operator's* batched path: four relaxed atomic
-    /// adds and one timestamp pair per batch, `tuples_in` advanced by
-    /// the batch size.
-    fn process_batch(&mut self, port: usize, batch: Batch) -> Batch {
-        let n_in = batch.len() as u64;
-        let t0 = Instant::now();
-        let out = self.inner.process_batch(port, batch);
-        let h = &self.handle;
-        h.tuples_in.add(n_in);
-        h.tuples_out.add(out.len() as u64);
-        h.busy_ns.add(t0.elapsed().as_nanos() as u64);
-        h.calls.inc();
-        out
-    }
-
-    fn flush(&mut self) -> Vec<Tuple> {
-        let t0 = Instant::now();
-        let out = self.inner.flush();
-        self.handle.tuples_out.add(out.len() as u64);
-        self.handle.busy_ns.add(t0.elapsed().as_nanos() as u64);
-        out
-    }
-
-    fn advance_watermark(&mut self, watermark: u64) -> Vec<Tuple> {
-        let t0 = Instant::now();
-        let out = self.inner.advance_watermark(watermark);
-        self.handle.tuples_out.add(out.len() as u64);
-        self.handle.busy_ns.add(t0.elapsed().as_nanos() as u64);
-        out
-    }
-
-    // Partitioning is the inner operator's property; without these
-    // delegations a metered operator would fall back to the trait's
-    // `Global` default and pin the whole sharded plan.
-    fn partition_keys(&self) -> crate::ops::Partitioning {
-        self.inner.partition_keys()
-    }
-
-    fn partition_key(&self, port: usize, tuple: &Tuple) -> Option<crate::value::GroupKey> {
-        self.inner.partition_key(port, tuple)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::{MapOperator, Passthrough};
-    use crate::schema::{DataType, Schema};
-    use crate::value::Value;
-
-    fn t(v: i64) -> Tuple {
-        let s = Schema::builder().field("v", DataType::Int).build();
-        Tuple::new(s, vec![Value::from(v)], 0)
-    }
-
-    #[test]
-    fn metering_preserves_partitioning() {
-        let (op, _) = Metered::new(Passthrough::new("sink"));
-        assert_eq!(op.partition_keys(), crate::ops::Partitioning::Any);
-    }
-
-    #[test]
-    fn counts_in_and_out() {
-        let (mut op, handle) = Metered::new(MapOperator::new("dup", |t: Tuple| vec![t.clone(), t]));
-        for i in 0..10 {
-            op.process(0, t(i));
-        }
-        let m = handle.snapshot();
-        assert_eq!(m.tuples_in, 10);
-        assert_eq!(m.tuples_out, 20);
-        assert_eq!(m.calls, 10);
-        assert!((m.selectivity() - 2.0).abs() < 1e-12);
-        match m.throughput() {
-            Some(rate) => assert!(rate > 0.0),
-            // Sub-resolution busy time reports "not measurable", never 0.
-            None => assert_eq!(m.busy, Duration::ZERO),
-        }
-    }
-
-    #[test]
-    fn rates_are_none_until_measurable() {
-        let m = OpMetrics::default();
-        assert_eq!(m.throughput(), None, "zero busy time has no rate");
-        assert_eq!(m.mean_latency(), None, "zero input has no latency");
-        assert_eq!(m.selectivity(), 0.0);
-
-        let m = OpMetrics {
-            tuples_in: 100,
-            tuples_out: 50,
-            busy: Duration::from_micros(10),
-            calls: 1,
-        };
-        assert!((m.throughput().unwrap() - 1e7).abs() < 1.0);
-        assert_eq!(m.mean_latency().unwrap(), Duration::from_nanos(100));
-    }
-
-    #[test]
-    fn handle_cells_share_the_wrapped_counters() {
-        let (mut op, handle) = Metered::new(Passthrough::new("p"));
-        let (tuples_in, tuples_out, busy_ns, calls) = handle.cells();
-        op.process(0, t(1));
-        assert_eq!(tuples_in.get(), 1);
-        assert_eq!(tuples_out.get(), 1);
-        assert_eq!(calls.get(), 1);
-        // busy_ns is whatever the timer said; the cell is live either way.
-        assert_eq!(busy_ns.get(), handle.snapshot().busy.as_nanos() as u64);
-    }
-
-    #[test]
-    fn flush_counts_outputs_only() {
-        struct FlushOnly(Vec<Tuple>);
-        impl Operator for FlushOnly {
-            fn name(&self) -> &str {
-                "flush-only"
-            }
-            fn process(&mut self, _p: usize, tuple: Tuple) -> Vec<Tuple> {
-                self.0.push(tuple);
-                Vec::new()
-            }
-            fn flush(&mut self) -> Vec<Tuple> {
-                std::mem::take(&mut self.0)
-            }
-        }
-        let (mut op, handle) = Metered::new(FlushOnly(Vec::new()));
-        op.process(0, t(1));
-        op.process(0, t(2));
-        let out = op.flush();
-        assert_eq!(out.len(), 2);
-        let m = handle.snapshot();
-        assert_eq!(m.tuples_in, 2);
-        assert_eq!(m.tuples_out, 2);
-    }
-
-    #[test]
-    fn handle_readable_while_wrapped_in_graph() {
-        use crate::query::QueryGraph;
-        let (metered, handle) = Metered::new(Passthrough::new("p"));
-        let mut g = QueryGraph::new();
-        let node = g.add(Box::new(metered));
-        g.source("in", node);
-        g.sink(node);
-        g.run(vec![("in".into(), 0, vec![t(1), t(2), t(3)])])
-            .unwrap();
-        assert_eq!(handle.snapshot().tuples_in, 3);
-    }
-
-    #[test]
-    fn name_and_ports_pass_through() {
-        let (op, _) = Metered::new(Passthrough::new("inner-name"));
-        assert_eq!(op.name(), "inner-name");
-        assert_eq!(op.num_ports(), 1);
     }
 }

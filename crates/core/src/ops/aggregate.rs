@@ -865,7 +865,7 @@ impl Operator for WindowedAggregate {
         Some((self.key_fn)(tuple))
     }
 
-    fn partition_key_field(&self) -> Option<&str> {
+    fn partition_key_field(&self, _port: usize) -> Option<&str> {
         match self.partition_keys() {
             crate::ops::Partitioning::Key => self.key_field.as_deref(),
             _ => None,
@@ -1694,10 +1694,10 @@ mod tests {
     #[test]
     fn keyed_by_field_declares_partition_key_field() {
         let a = keyed(Strategy::Clt);
-        assert_eq!(a.partition_key_field(), Some("area"));
+        assert_eq!(a.partition_key_field(0), Some("area"));
         assert_eq!(a.partition_keys(), crate::ops::Partitioning::Key);
         // Closure-keyed aggregates expose no key field.
-        assert_eq!(agg(Strategy::Clt).partition_key_field(), None);
+        assert_eq!(agg(Strategy::Clt).partition_key_field(0), None);
         // Global-partitioned configurations hide the field: routing by
         // key would split state a single instance must own.
         let count_window = WindowedAggregate::keyed_by_field(
@@ -1705,7 +1705,7 @@ mod tests {
             "area",
             sum_spec(Strategy::Clt),
         );
-        assert_eq!(count_window.partition_key_field(), None);
+        assert_eq!(count_window.partition_key_field(0), None);
     }
 
     #[test]

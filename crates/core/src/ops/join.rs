@@ -558,7 +558,7 @@ impl Operator for WindowJoin {
         out
     }
 
-    fn partition_key_field_for(&self, port: usize) -> Option<&str> {
+    fn partition_key_field(&self, port: usize) -> Option<&str> {
         let (lf, rf) = self.key_fields.as_ref()?;
         Some(if port == 0 { lf } else { rf })
     }
@@ -894,13 +894,8 @@ mod tests {
     fn keyed_by_fields_declares_per_port_key_fields() {
         let j = WindowJoin::keyed_by_fields(1000, "group", "gname", 0.0);
         assert_eq!(j.partition_keys(), crate::ops::Partitioning::Key);
-        assert_eq!(j.partition_key_field_for(0), Some("group"));
-        assert_eq!(j.partition_key_field_for(1), Some("gname"));
-        assert_eq!(
-            j.partition_key_field(),
-            None,
-            "port-less declaration stays ambiguous for a two-keyed join"
-        );
+        assert_eq!(j.partition_key_field(0), Some("group"));
+        assert_eq!(j.partition_key_field(1), Some("gname"));
     }
 
     #[test]

@@ -104,23 +104,15 @@ pub trait Operator: Send {
         None
     }
 
-    /// The input field this operator's partition key is read from, when
-    /// [`Self::partition_key`] is a plain field lookup. Lets the sharded
-    /// runtime route columnar batches by reading the key column directly
-    /// instead of materializing tuples; `None` (the default) means the
-    /// key needs the row form.
-    fn partition_key_field(&self) -> Option<&str> {
-        None
-    }
-
-    /// Port-aware form of [`Self::partition_key_field`]: the input field
-    /// the partition key is read from for tuples arriving on `port`.
-    /// Multi-input keyed operators (equi-join) key each port on a
-    /// different field; unary operators fall through to the port-less
-    /// declaration.
-    fn partition_key_field_for(&self, port: usize) -> Option<&str> {
+    /// The input field this operator's partition key is read from for
+    /// tuples arriving on `port`, when [`Self::partition_key`] is a
+    /// plain field lookup (an equi-join names one field per port). Lets
+    /// the sharded runtime route columnar batches by reading the key
+    /// column directly instead of materializing tuples; `None` (the
+    /// default) means the key needs the row form.
+    fn partition_key_field(&self, port: usize) -> Option<&str> {
         let _ = port;
-        self.partition_key_field()
+        None
     }
 }
 

@@ -39,7 +39,6 @@
 //!   [`ustream_core::error::EngineError::OperatorPanicked`] naming the
 //!   operator — never a hang, never a silently truncated result.
 
-pub mod merge;
 pub mod plan;
 pub mod report;
 pub mod session;

@@ -536,7 +536,7 @@ impl StagedCore {
                 let Some(field) = self
                     .prototype
                     .operator(anchor)
-                    .partition_key_field_for(anchor_port.unwrap_or(port))
+                    .partition_key_field(anchor_port.unwrap_or(port))
                     .map(str::to_string)
                 else {
                     return Ok(false);

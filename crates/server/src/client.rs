@@ -41,7 +41,7 @@
 //! wall clock. Opt out with [`Client::publisher_manual`] when the
 //! application owns all watermark advertisement.
 
-use crate::protocol::{self, ErrorCode, OpStat, Request, Response};
+use crate::protocol::{self, ErrorCode, Request, Response};
 use crate::wire::WireError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -457,21 +457,11 @@ impl Client {
         }
     }
 
-    /// Snapshot the served query's registered per-operator metrics.
-    pub fn stats(&mut self) -> ClientResult<Vec<OpStat>> {
-        let mut conn = self.lock();
-        protocol::write_request(&mut conn.stream, &Request::Stats)?;
-        match await_reply(&mut conn)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Snapshot the server's full metrics registry: every `engine_*`
     /// and `server_*` counter/gauge/histogram/sketch as typed
     /// [`MetricSnapshot`]s (sorted by family then labels) plus the
-    /// Prometheus-style text exposition rendered server-side. The
-    /// modern superset of [`Client::stats`].
+    /// Prometheus-style text exposition rendered server-side.
+    /// Per-operator counters are the `engine_op_*` families.
     pub fn stats_v2(&mut self) -> ClientResult<(Vec<MetricSnapshot>, String)> {
         let mut conn = self.lock();
         protocol::write_request(&mut conn.stream, &Request::StatsV2)?;

@@ -27,8 +27,9 @@
 //!   a subscription protocol streams sink output to any number of
 //!   subscribers as windows close.
 //! - [`client`] — [`client::Client`] with `publish` / `subscribe` /
-//!   `finish` (EOS) / `heartbeat` (idle-publisher watermark) / `stats`
-//!   (engine [`ustream_core::OpMetrics`] snapshots over the wire).
+//!   `finish` (EOS) / `heartbeat` (idle-publisher watermark) /
+//!   `stats_v2` (the metrics registry over the wire, per-operator
+//!   counters included as the `engine_op_*` families).
 //!
 //! See the repo README's *Serving* section for the frame format table
 //! and `examples/serve_quickstart.rs` for an end-to-end loopback run.
@@ -41,7 +42,7 @@ pub mod wire;
 
 pub use chaos::{ChaosProxy, Fault};
 pub use client::{Client, ClientConfig, ClientError, Event};
-pub use protocol::{ErrorCode, OpStat, Request, Response};
+pub use protocol::{ErrorCode, Request, Response};
 pub use server::{
     ServeError, ServedQuery, Server, ServerConfig, ServerError, ServerHandle, Severity,
     SubscriberPolicy,

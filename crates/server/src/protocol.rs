@@ -16,12 +16,13 @@ use ustream_telemetry::{
     SketchSnapshot, TraceDetail, TraceEvent,
 };
 
-// Frame kinds. Requests have the high bit clear, responses set.
+// Frame kinds. Requests have the high bit clear, responses set. 0x05
+// and 0x86 (the retired per-operator `Stats` pair) stay unassigned and
+// decode as unknown tags.
 const KIND_HELLO: u8 = 0x01;
 const KIND_PUBLISH: u8 = 0x02;
 const KIND_SUBSCRIBE: u8 = 0x03;
 const KIND_FINISH: u8 = 0x04;
-const KIND_STATS: u8 = 0x05;
 const KIND_HEARTBEAT: u8 = 0x06;
 const KIND_RESUME: u8 = 0x07;
 const KIND_PUBLISH_SEQ: u8 = 0x08;
@@ -34,7 +35,6 @@ const KIND_ACK: u8 = 0x82;
 const KIND_ERROR: u8 = 0x83;
 const KIND_RESULTS: u8 = 0x84;
 const KIND_EOS: u8 = 0x85;
-const KIND_STATS_REPLY: u8 = 0x86;
 const KIND_RESUME_OK: u8 = 0x87;
 const KIND_GAP: u8 = 0x88;
 const KIND_RESULTS_SEQ: u8 = 0x89;
@@ -84,12 +84,10 @@ pub enum Request {
     /// for everyone else. Publishers that may go idle should send this
     /// periodically with their current clock.
     Heartbeat { watermark: u64 },
-    /// Snapshot the served query's per-operator metrics.
-    Stats,
     /// Snapshot the server's full metrics registry: every engine and
     /// serving counter/gauge/histogram/sketch, typed, plus the
-    /// Prometheus-style text exposition. The modern superset of
-    /// [`Request::Stats`] (which remains served for old clients).
+    /// Prometheus-style text exposition. Per-operator counters are the
+    /// `engine_op_*` families.
     StatsV2,
     /// EXPLAIN ANALYZE the served query: the static shard-plan topology
     /// annotated with live per-stage and per-operator counters
@@ -147,17 +145,6 @@ impl ErrorCode {
     }
 }
 
-/// One operator's metrics snapshot as served by [`Request::Stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpStat {
-    pub name: String,
-    pub tuples_in: u64,
-    pub tuples_out: u64,
-    /// Total busy time in nanoseconds.
-    pub busy_ns: u64,
-    pub calls: u64,
-}
-
 /// What the server answers.
 #[derive(Debug, Clone)]
 pub enum Response {
@@ -182,8 +169,6 @@ pub enum Response {
     },
     /// End of stream: the query flushed; no further results will come.
     Eos,
-    /// Reply to `Stats`.
-    Stats(Vec<OpStat>),
     /// Reply to `StatsV2`: the registry snapshot (typed, sorted by
     /// family then labels) plus its text exposition rendered
     /// server-side, so a scraper can forward `text` verbatim while a
@@ -266,7 +251,6 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> WireResult<()> {
             payload.extend_from_slice(&watermark.to_be_bytes());
             KIND_HEARTBEAT
         }
-        Request::Stats => KIND_STATS,
         Request::StatsV2 => KIND_STATS_V2,
         Request::Explain => KIND_EXPLAIN,
         Request::Health => KIND_HEALTH,
@@ -328,7 +312,6 @@ pub fn read_request<R: Read>(r: &mut R) -> WireResult<Request> {
         KIND_HEARTBEAT => Request::Heartbeat {
             watermark: rd.u64()?,
         },
-        KIND_STATS => Request::Stats,
         KIND_STATS_V2 => Request::StatsV2,
         KIND_EXPLAIN => Request::Explain,
         KIND_HEALTH => Request::Health,
@@ -795,17 +778,6 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> WireResult<()> {
         }
         Response::Results { sink, seq, tuples } => return write_results(w, *sink, *seq, tuples),
         Response::Eos => KIND_EOS,
-        Response::Stats(stats) => {
-            payload.extend_from_slice(&(stats.len() as u32).to_be_bytes());
-            for s in stats {
-                put_str(&mut payload, &s.name);
-                payload.extend_from_slice(&s.tuples_in.to_be_bytes());
-                payload.extend_from_slice(&s.tuples_out.to_be_bytes());
-                payload.extend_from_slice(&s.busy_ns.to_be_bytes());
-                payload.extend_from_slice(&s.calls.to_be_bytes());
-            }
-            KIND_STATS_REPLY
-        }
         Response::StatsV2 { metrics, text } => {
             payload.extend_from_slice(&(metrics.len() as u32).to_be_bytes());
             for m in metrics {
@@ -890,30 +862,6 @@ pub fn read_response<R: Read>(r: &mut R) -> WireResult<Response> {
             last_seq: rd.u64()?,
         },
         KIND_GAP => Response::Gap { missed: rd.u64()? },
-        KIND_STATS_REPLY => {
-            let n = rd.u32()? as usize;
-            // Each stat is at least 36 bytes (empty name + 4 counters).
-            let floor = n
-                .checked_mul(36)
-                .ok_or(WireError::InvalidPayload("length overflow"))?;
-            if floor > rd.remaining() {
-                return Err(WireError::Truncated {
-                    needed: floor,
-                    have: rd.remaining(),
-                });
-            }
-            let mut stats = Vec::with_capacity(n);
-            for _ in 0..n {
-                stats.push(OpStat {
-                    name: rd.str()?,
-                    tuples_in: rd.u64()?,
-                    tuples_out: rd.u64()?,
-                    busy_ns: rd.u64()?,
-                    calls: rd.u64()?,
-                });
-            }
-            Response::Stats(stats)
-        }
         KIND_STATS_V2_REPLY => {
             let n = rd.u32()? as usize;
             // Each metric is at least 15 bytes (empty family, no
@@ -1004,7 +952,7 @@ mod tests {
             Request::Subscribe { from: Some(41) }
         ));
         assert!(matches!(roundtrip_req(Request::Finish), Request::Finish));
-        assert!(matches!(roundtrip_req(Request::Stats), Request::Stats));
+        assert!(matches!(roundtrip_req(Request::StatsV2), Request::StatsV2));
         assert!(matches!(
             roundtrip_req(Request::Heartbeat { watermark: 12345 }),
             Request::Heartbeat { watermark: 12345 }
@@ -1093,17 +1041,6 @@ mod tests {
                 assert_eq!(code, ErrorCode::UnknownSource);
                 assert_eq!(message, "no such stream");
             }
-            other => panic!("wrong decode: {other:?}"),
-        }
-        let stats = vec![OpStat {
-            name: "select".into(),
-            tuples_in: 10,
-            tuples_out: 7,
-            busy_ns: 1234,
-            calls: 10,
-        }];
-        match roundtrip_resp(Response::Stats(stats.clone())) {
-            Response::Stats(back) => assert_eq!(back, stats),
             other => panic!("wrong decode: {other:?}"),
         }
         let t = Tuple::new(schema(), vec![Value::Int(1)], 2);
@@ -1417,6 +1354,16 @@ mod tests {
             Err(WireError::UnknownTag {
                 what: "Request",
                 ..
+            })
+        ));
+        // So is the retired `Stats` request kind.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 0x05, &[]).unwrap();
+        assert!(matches!(
+            read_request(&mut buf.as_slice()),
+            Err(WireError::UnknownTag {
+                what: "Request",
+                tag: 5,
             })
         ));
     }

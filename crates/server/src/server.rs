@@ -69,12 +69,12 @@
 //! are shared across subscribers. A subscribed connection stays fully
 //! duplex: a dedicated relay thread writes result frames (one
 //! subscription per connection) while the handler keeps serving
-//! publishes, `stats`, and `Finish` on the same socket. A subscriber
+//! publishes, `StatsV2`, and `Finish` on the same socket. A subscriber
 //! that stops reading backpressures the engine (bounded outbox); server
 //! shutdown breaks that wait and drops the stalled subscriber instead
 //! of hanging.
 
-use crate::protocol::{self, ErrorCode, OpStat, Request, Response};
+use crate::protocol::{self, ErrorCode, Request, Response};
 use crate::wire::WireError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -85,7 +85,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use ustream_core::query::QueryGraph;
-use ustream_core::{Batch, EngineError, MetricsHandle, NodeId, Tuple};
+use ustream_core::{Batch, EngineError, NodeId, Tuple};
 use ustream_runtime::session::ShardedSession;
 use ustream_runtime::telemetry::SessionTelemetry;
 use ustream_runtime::{PlanReport, ShardedExecutor};
@@ -222,12 +222,10 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A query prepared for serving, optionally with named metrics handles
-/// (wrap hot operators in [`ustream_core::Metered`] and register the
-/// handles here; the `stats` command serves their snapshots).
+/// A query prepared for serving. Every operator's counters are always
+/// on and served by `StatsV2` as the `engine_op_*` families.
 pub struct ServedQuery {
     source: QuerySource,
-    metrics: Vec<(String, MetricsHandle)>,
 }
 
 /// How the engine session is built: from one already-built graph
@@ -247,7 +245,6 @@ impl ServedQuery {
     pub fn new(graph: QueryGraph) -> Self {
         ServedQuery {
             source: QuerySource::Graph(graph),
-            metrics: Vec::new(),
         }
     }
 
@@ -266,7 +263,6 @@ impl ServedQuery {
                 shards,
                 workers: None,
             },
-            metrics: Vec::new(),
         }
     }
 
@@ -278,12 +274,6 @@ impl ServedQuery {
         if let QuerySource::Factory { workers, .. } = &mut self.source {
             *workers = Some(n);
         }
-        self
-    }
-
-    /// Register a named metrics handle to be served by `stats`.
-    pub fn with_metric(mut self, name: impl Into<String>, handle: MetricsHandle) -> Self {
-        self.metrics.push((name.into(), handle));
         self
     }
 }
@@ -727,7 +717,6 @@ struct Shared {
     /// before they can trip an operator's `assert!` on the engine
     /// thread.
     sources: HashMap<String, (NodeId, usize)>,
-    metrics: Vec<(String, MetricsHandle)>,
     errors: Mutex<Vec<ServerError>>,
     finished: AtomicBool,
     /// Set by [`ServerHandle::shutdown`]; breaks the engine out of a
@@ -784,7 +773,7 @@ impl Server {
         let listener = TcpListener::bind(addr).map_err(ServeError::Io)?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
 
-        let ServedQuery { source, metrics } = query;
+        let ServedQuery { source } = query;
         let (sources, session) = match source {
             QuerySource::Graph(graph) => {
                 let sources: HashMap<String, (NodeId, usize)> = graph
@@ -844,7 +833,6 @@ impl Server {
         let shared = Arc::new(Shared {
             engine_tx: engine_tx.clone(),
             sources,
-            metrics,
             errors: Mutex::new(Vec::new()),
             finished: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -1369,7 +1357,7 @@ impl Engine {
     fn broadcast_eos(&mut self) {
         for sub in self.subs.drain(..) {
             // Count first: a subscriber that reads its `Eos` and then
-            // asks for stats must find it counted.
+            // asks for `StatsV2` must find it counted.
             self.shared.m.eos.inc();
             sub.queue.push_eos();
             sub.depth.set(sub.queue.depth() as i64);
@@ -1507,7 +1495,7 @@ fn expire_session(shared: &Arc<Shared>, entry: &Arc<SessionEntry>) {
 /// The socket's write half is shared (frame-at-a-time, under a mutex)
 /// between this thread's replies and the subscription relay thread, so
 /// a subscribed connection stays fully duplex — it can keep publishing
-/// and issuing `stats`/`Finish` while results stream back. Replies go
+/// and issuing `StatsV2`/`Finish` while results stream back. Replies go
 /// out with `TCP_NODELAY`: each is one frame in one write, and Nagle's
 /// hold-back would only wait out the client's delayed ACK.
 fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
@@ -1571,7 +1559,7 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
         let reply = match req {
             Request::Hello { publisher } => {
                 // Joining after EOS is allowed (the connection can still
-                // query stats); only publishes are rejected then.
+                // query `StatsV2`); only publishes are rejected then.
                 if publisher
                     && !is_publisher
                     && shared
@@ -1852,22 +1840,6 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
                     Response::Ack { count: 0 }
                 }
             }
-            Request::Stats => Response::Stats(
-                shared
-                    .metrics
-                    .iter()
-                    .map(|(name, handle)| {
-                        let m = handle.snapshot();
-                        OpStat {
-                            name: name.clone(),
-                            tuples_in: m.tuples_in,
-                            tuples_out: m.tuples_out,
-                            busy_ns: m.busy.as_nanos().min(u64::MAX as u128) as u64,
-                            calls: m.calls,
-                        }
-                    })
-                    .collect(),
-            ),
             Request::StatsV2 => Response::StatsV2 {
                 metrics: shared.registry.snapshot(),
                 text: shared.registry.render_text(),

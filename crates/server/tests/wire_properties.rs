@@ -17,7 +17,7 @@ use ustream_core::{Tuple, Updf, Value};
 use ustream_prob::dist::{Dist, GaussianMixture, MvGaussian};
 use ustream_prob::histogram::HistogramPdf;
 use ustream_prob::samples::{WeightedSamples, WeightedSamplesNd};
-use ustream_server::protocol::{self, OpStat, Request, Response};
+use ustream_server::protocol::{self, Request, Response};
 use ustream_server::wire;
 use ustream_server::{ErrorCode, MIN_WIRE_VERSION};
 
@@ -193,7 +193,7 @@ fn arb_request(rng: &mut StdRng) -> Request {
         5 => Request::Heartbeat {
             watermark: rng.gen(),
         },
-        6 => Request::Stats,
+        6 => Request::StatsV2,
         _ => Request::Resume {
             token: rng.gen(),
             last_acked_seq: rng.gen(),
@@ -228,18 +228,7 @@ fn arb_response(rng: &mut StdRng) -> Response {
                 .map(|_| arb_tuple(rng))
                 .collect(),
         },
-        5 => Response::Eos,
-        6 => Response::Stats(
-            (0..rng.gen_range(0..3usize))
-                .map(|i| OpStat {
-                    name: format!("op{i}"),
-                    tuples_in: rng.gen(),
-                    tuples_out: rng.gen(),
-                    busy_ns: rng.gen(),
-                    calls: rng.gen(),
-                })
-                .collect(),
-        ),
+        5 | 6 => Response::Eos,
         7 => Response::ResumeOk {
             session_id: rng.gen(),
             last_seq: rng.gen(),

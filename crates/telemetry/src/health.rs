@@ -376,7 +376,6 @@ impl HealthWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Subsystem;
 
     fn watchdog(config: HealthConfig) -> (HealthWatchdog, MetricsRegistry, EventJournal) {
         let registry = MetricsRegistry::new();
@@ -514,7 +513,6 @@ mod tests {
             1,
             "repeated degraded states journal one transition"
         );
-        assert_eq!(events[0].detail.subsystem(), Subsystem::Health);
         assert_eq!(
             events[0].detail,
             TraceDetail::HealthChanged {

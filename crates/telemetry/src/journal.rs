@@ -4,8 +4,7 @@
 //! order*. Each [`TraceEvent`] carries a monotonic sequence number
 //! assigned at record time, so interleavings across subsystems are
 //! reconstructible even after the bounded ring has evicted older
-//! entries. Recording is gated per [`Subsystem`] by an atomic bit mask
-//! — a disabled subsystem pays one relaxed load and nothing else.
+//! entries.
 //!
 //! The ring itself is a mutex-guarded deque: events are batch-, window-
 //! and session-granular (never per-tuple), so the lock is touched a few
@@ -15,41 +14,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Event sources that can be enabled/disabled independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Subsystem {
-    /// Batches pumped through the engine.
-    Engine = 0,
-    /// Shard routing and exchange forwarding.
-    Exchange = 1,
-    /// Window sealing (watermark advances releasing output).
-    Window = 2,
-    /// Server request handling (gaps, subscriber shedding).
-    Server = 3,
-    /// Session lease lifecycle.
-    Lease = 4,
-    /// Health-watchdog state transitions.
-    Health = 5,
-}
-
-impl Subsystem {
-    fn bit(self) -> u64 {
-        1u64 << (self as u8)
-    }
-
-    pub const ALL: [Subsystem; 6] = [
-        Subsystem::Engine,
-        Subsystem::Exchange,
-        Subsystem::Window,
-        Subsystem::Server,
-        Subsystem::Lease,
-        Subsystem::Health,
-    ];
-}
-
-/// What happened. Every variant names its subsystem via
-/// [`TraceDetail::subsystem`].
+/// What happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceDetail {
     /// A batch entered the engine at `(node, port)`.
@@ -87,29 +52,11 @@ pub enum TraceDetail {
     },
 }
 
-impl TraceDetail {
-    pub fn subsystem(&self) -> Subsystem {
-        match self {
-            TraceDetail::BatchPumped { .. } => Subsystem::Engine,
-            TraceDetail::WindowSealed { .. } => Subsystem::Window,
-            TraceDetail::ShardRouted { .. } | TraceDetail::ExchangeForwarded { .. } => {
-                Subsystem::Exchange
-            }
-            TraceDetail::GapEmitted { .. } => Subsystem::Server,
-            TraceDetail::LeaseParked { .. }
-            | TraceDetail::LeaseResumed { .. }
-            | TraceDetail::LeaseExpired { .. } => Subsystem::Lease,
-            TraceDetail::HealthChanged { .. } => Subsystem::Health,
-        }
-    }
-}
-
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Monotonic across the journal; gaps mean the ring evicted
-    /// entries (or a subsystem was disabled — disabled records do not
-    /// consume sequence numbers).
+    /// entries.
     pub seq: u64,
     pub detail: TraceDetail,
 }
@@ -123,32 +70,24 @@ pub struct EventJournal {
 #[derive(Debug)]
 struct JournalInner {
     seq: AtomicU64,
-    /// Per-subsystem enable bits (bit set = enabled).
-    mask: AtomicU64,
     capacity: usize,
     ring: Mutex<VecDeque<TraceEvent>>,
 }
 
 impl EventJournal {
-    /// A journal retaining the newest `capacity` events, all
-    /// subsystems enabled.
+    /// A journal retaining the newest `capacity` events.
     pub fn new(capacity: usize) -> EventJournal {
         EventJournal {
             inner: Arc::new(JournalInner {
                 seq: AtomicU64::new(0),
-                mask: AtomicU64::new(u64::MAX),
                 capacity: capacity.max(1),
                 ring: Mutex::new(VecDeque::new()),
             }),
         }
     }
 
-    /// Record an event if its subsystem is enabled; returns its
-    /// sequence number when recorded.
-    pub fn record(&self, detail: TraceDetail) -> Option<u64> {
-        if !self.enabled(detail.subsystem()) {
-            return None;
-        }
+    /// Record an event; returns its sequence number.
+    pub fn record(&self, detail: TraceDetail) -> u64 {
         let inner = &*self.inner;
         let mut ring = inner.ring.lock().unwrap_or_else(|p| p.into_inner());
         // Sequence numbers are claimed under the ring lock so retained
@@ -158,23 +97,7 @@ impl EventJournal {
             ring.pop_front();
         }
         ring.push_back(TraceEvent { seq, detail });
-        Some(seq)
-    }
-
-    /// Enable or disable one subsystem.
-    pub fn set_enabled(&self, subsystem: Subsystem, on: bool) {
-        if on {
-            self.inner.mask.fetch_or(subsystem.bit(), Ordering::Relaxed);
-        } else {
-            self.inner
-                .mask
-                .fetch_and(!subsystem.bit(), Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self, subsystem: Subsystem) -> bool {
-        self.inner.mask.load(Ordering::Relaxed) & subsystem.bit() != 0
+        seq
     }
 
     /// Total events ever recorded (≥ the ring's current length).
@@ -220,44 +143,6 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
         assert_eq!(j.recorded(), 10);
-    }
-
-    #[test]
-    fn disabled_subsystem_records_nothing() {
-        let j = EventJournal::new(8);
-        j.set_enabled(Subsystem::Lease, false);
-        assert!(j.record(TraceDetail::LeaseParked { session: 1 }).is_none());
-        assert!(j
-            .record(TraceDetail::GapEmitted {
-                subscriber: 2,
-                missed: 3
-            })
-            .is_some());
-        assert_eq!(j.all().len(), 1);
-        j.set_enabled(Subsystem::Lease, true);
-        assert!(j.record(TraceDetail::LeaseParked { session: 1 }).is_some());
-    }
-
-    #[test]
-    fn details_map_to_subsystems() {
-        assert_eq!(
-            TraceDetail::ShardRouted {
-                stage: 0,
-                shard: 1,
-                tuples: 2
-            }
-            .subsystem(),
-            Subsystem::Exchange
-        );
-        assert_eq!(
-            TraceDetail::WindowSealed {
-                stage: 0,
-                watermark: 1,
-                released: 2
-            }
-            .subsystem(),
-            Subsystem::Window
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   wait-free for the (single logical) writer; readers never block
 //!   writers.
 //! - [`EventJournal`] — a bounded ring of typed [`TraceEvent`]s with a
-//!   monotonic sequence number and per-[`Subsystem`] enable bits.
+//!   monotonic sequence number.
 //! - [`MetricsRegistry`] — names (family + labels) to handles, with
 //!   [`MetricsRegistry::snapshot`] for wire transport and
 //!   [`MetricsRegistry::render_text`] for Prometheus-style scraping.
@@ -43,7 +43,7 @@ pub mod sketch;
 pub mod trace;
 
 pub use health::{HealthCheck, HealthConfig, HealthReport, HealthStatus, HealthWatchdog};
-pub use journal::{EventJournal, Subsystem, TraceDetail, TraceEvent};
+pub use journal::{EventJournal, TraceDetail, TraceEvent};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, MetricValue, MetricsRegistry};
 pub use sketch::{QuantileSketch, SketchSnapshot};

@@ -1,11 +1,9 @@
 //! `EventJournal` ring semantics under wraparound and concurrency:
 //! sequence continuity across evictions, `recent(n)` ordering, and
-//! per-subsystem toggle races against concurrent writers.
+//! concurrent writers.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
-use ustream_telemetry::{EventJournal, Subsystem, TraceDetail};
+use ustream_telemetry::{EventJournal, TraceDetail};
 
 fn pump(node: usize) -> TraceDetail {
     TraceDetail::BatchPumped {
@@ -86,89 +84,4 @@ fn concurrent_writers_never_tear_the_sequence() {
         seqs.windows(2).all(|w| w[0] < w[1]),
         "seq order torn: {seqs:?}"
     );
-}
-
-/// Toggling one subsystem's enable bit while writers hammer every
-/// subsystem: the toggled subsystem's events are the only ones that
-/// may be skipped, disabled records consume no sequence numbers (the
-/// retained ring stays gap-free), and the bit's final state wins.
-#[test]
-fn toggle_races_only_suppress_the_toggled_subsystem() {
-    let j = EventJournal::new(4096);
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let writer_handles: Vec<_> = (0..3)
-        .map(|w| {
-            let j = j.clone();
-            let stop = stop.clone();
-            thread::spawn(move || {
-                let mut wrote_lease = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // One per subsystem under toggle fire.
-                    j.record(pump(w));
-                    if j.record(TraceDetail::LeaseParked { session: w as u64 })
-                        .is_some()
-                    {
-                        wrote_lease += 1;
-                    }
-                    j.record(TraceDetail::WindowSealed {
-                        stage: 0,
-                        watermark: 1,
-                        released: 0,
-                    });
-                }
-                wrote_lease
-            })
-        })
-        .collect();
-
-    let toggler = {
-        let j = j.clone();
-        thread::spawn(move || {
-            for round in 0..500 {
-                j.set_enabled(Subsystem::Lease, round % 2 == 0);
-            }
-            j.set_enabled(Subsystem::Lease, false);
-        })
-    };
-    toggler.join().unwrap();
-    stop.store(true, Ordering::Relaxed);
-    let lease_written: u64 = writer_handles.into_iter().map(|h| h.join().unwrap()).sum();
-
-    // Final state: disabled means disabled, no matter the race history.
-    assert!(!j.enabled(Subsystem::Lease));
-    assert!(j.record(TraceDetail::LeaseParked { session: 9 }).is_none());
-    assert!(j.enabled(Subsystem::Engine), "other subsystems untouched");
-
-    // The retained ring is seq-continuous even though some records
-    // were suppressed mid-stream: suppressed records never burn a seq.
-    let seqs: Vec<u64> = j.all().iter().map(|e| e.seq).collect();
-    assert!(
-        seqs.windows(2).all(|w| w[1] == w[0] + 1),
-        "gap in retained ring"
-    );
-
-    // Accounting: every lease event a writer saw acknowledged got a
-    // sequence number; the journal's total covers all subsystems.
-    let total = j.recorded();
-    assert!(
-        total >= lease_written,
-        "recorded {total} < lease acks {lease_written}"
-    );
-}
-
-/// `Subsystem::ALL` and the per-variant mapping stay in sync (a new
-/// subsystem must extend both).
-#[test]
-fn all_subsystems_toggle_independently() {
-    let j = EventJournal::new(8);
-    for &s in Subsystem::ALL.iter() {
-        j.set_enabled(s, false);
-        assert!(!j.enabled(s));
-        for &other in Subsystem::ALL.iter().filter(|&&o| o != s) {
-            assert!(j.enabled(other), "disabling {s:?} leaked onto {other:?}");
-        }
-        j.set_enabled(s, true);
-        assert!(j.enabled(s));
-    }
 }

@@ -6,12 +6,11 @@
 //! publisher over real TCP, ships 2 000 uncertain temperature readings
 //! through the wire codec, and prints each aggregate window as the
 //! engine closes it — then the publisher finishes, the subscriber
-//! receives EOS, and a `stats` call reports the metered selection's
-//! throughput.
+//! receives EOS, and a `stats_v2` call reports every operator's
+//! always-on tuple counters (the `engine_op_*` metric families).
 //!
 //! Run: `cargo run --release --example serve_quickstart`
 
-use uncertain_streams::core::metrics::Metered;
 use uncertain_streams::core::ops::aggregate::{
     AggFunc, AggSpec, Strategy, WindowKind, WindowedAggregate,
 };
@@ -27,7 +26,6 @@ fn main() {
     // Q1 in miniature: probabilistic selection (plausibly hot readings)
     // into a 1-second tumbling per-sensor average.
     let select = Select::new(Predicate::UncertainAbove("temp".into(), 60.0), 0.05);
-    let (metered_select, select_metrics) = Metered::new(select);
     let agg = WindowedAggregate::new(
         WindowKind::Tumbling(1_000),
         |t: &Tuple| GroupKey::from_value(t.get("sensor").unwrap()).unwrap(),
@@ -39,7 +37,7 @@ fn main() {
         }],
     );
     let mut graph = QueryGraph::new();
-    let select = graph.add(Box::new(metered_select));
+    let select = graph.add(Box::new(select));
     let agg = graph.add(Box::new(agg));
     let sink = graph.add(Box::new(Passthrough::new("sink")));
     graph.connect(select, agg, 0).unwrap();
@@ -47,8 +45,7 @@ fn main() {
     graph.source("readings", select);
     graph.sink(sink);
 
-    let served = ServedQuery::new(graph).with_metric("select", select_metrics);
-    let handle = Server::serve("127.0.0.1:0", served).expect("bind loopback");
+    let handle = Server::serve("127.0.0.1:0", ServedQuery::new(graph)).expect("bind loopback");
     println!("serving on {}", handle.addr());
 
     // Subscribe before publishing: subscriptions stream results from
@@ -100,13 +97,10 @@ fn main() {
     }
     println!("EOS after {windows} aggregate windows");
 
-    // Engine metrics over the wire.
-    for s in publisher.stats().expect("stats") {
-        let busy_ms = s.busy_ns as f64 / 1e6;
-        println!(
-            "op `{}`: {} in / {} out over {} calls, {:.2} ms busy",
-            s.name, s.tuples_in, s.tuples_out, s.calls, busy_ms
-        );
+    // Per-operator engine counters over the wire.
+    let (_, text) = publisher.stats_v2().expect("stats_v2");
+    for line in text.lines().filter(|l| l.starts_with("engine_op_tuples_")) {
+        println!("{line}");
     }
 
     let errors = handle.shutdown();

@@ -12,7 +12,6 @@
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use uncertain_streams::core::metrics::Metered;
 use uncertain_streams::core::ops::aggregate::{
     AggFunc, AggSpec, Strategy, WindowKind, WindowedAggregate,
 };
@@ -24,6 +23,7 @@ use uncertain_streams::core::schema::{DataType, Field, Schema};
 use uncertain_streams::core::{GroupKey, Tuple, Updf, Value};
 use uncertain_streams::prob::dist::Dist;
 use uncertain_streams::server::{Client, ClientError, ErrorCode, ServedQuery, Server, ServerError};
+use uncertain_streams::telemetry::MetricValue;
 
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -411,33 +411,41 @@ fn mid_stream_disconnect_is_typed_error_not_a_hang() {
 
 #[test]
 fn malformed_frame_gets_error_response_and_is_recorded() {
-    use uncertain_streams::server::{Response, WIRE_VERSION};
+    use std::io::Write;
+    use uncertain_streams::server::{Response, WireError, WIRE_VERSION};
 
     let handle = Server::serve("127.0.0.1:0", ServedQuery::new(q1_graph().0)).unwrap();
-    let mut raw = TcpStream::connect(handle.addr()).unwrap();
-    raw.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    // A well-framed Publish whose payload is garbage, and a frame of the
+    // retired `Stats` request kind. Each ends its connection.
+    let frames: [(u8, &[u8]); 2] = [(0x02, &[0xFF, 0xEE, 0xDD, 0xCC]), (0x05, &[])];
+    for (kind, payload) in frames {
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut frame = Vec::new();
+        frame.extend_from_slice(b"US");
+        frame.push(WIRE_VERSION);
+        frame.push(kind);
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(payload);
+        raw.write_all(&frame).unwrap();
 
-    // A well-framed Publish whose payload is garbage.
-    use std::io::Write;
-    let payload = [0xFFu8, 0xEE, 0xDD, 0xCC];
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"US");
-    frame.push(WIRE_VERSION);
-    frame.push(0x02); // Publish
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    raw.write_all(&frame).unwrap();
-
-    match uncertain_streams::server::protocol::read_response(&mut raw).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected Malformed error frame, got {other:?}"),
+        match uncertain_streams::server::protocol::read_response(&mut raw).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected Malformed error frame for kind {kind:#04x}, got {other:?}"),
+        }
     }
     let errors = handle.shutdown();
+    let malformed = |unknown_tag: bool| {
+        errors.iter().any(|e| match e {
+            ServerError::Malformed { error, .. } => {
+                unknown_tag == matches!(error, WireError::UnknownTag { tag: 0x05, .. })
+            }
+            _ => false,
+        })
+    };
     assert!(
-        errors
-            .iter()
-            .any(|e| matches!(e, ServerError::Malformed { .. })),
-        "expected a Malformed record, got {errors:?}"
+        malformed(false) && malformed(true),
+        "expected a Malformed record per frame, got {errors:?}"
     );
 }
 
@@ -445,16 +453,14 @@ fn malformed_frame_gets_error_response_and_is_recorded() {
 fn stats_serves_metrics_snapshots() {
     let select =
         Select::new(Predicate::UncertainAbove("x".into(), 2.0), 0.05).without_conditioning();
-    let (metered, metrics) = Metered::new(select);
     let mut g = QueryGraph::new();
-    let select = g.add(Box::new(metered));
+    let select = g.add(Box::new(select));
     let sink = g.add(Box::new(Passthrough::new("sink")));
     g.connect(select, sink, 0).unwrap();
     g.source("in", select);
     g.sink(sink);
 
-    let served = ServedQuery::new(g).with_metric("select", metrics);
-    let handle = Server::serve("127.0.0.1:0", served).unwrap();
+    let handle = Server::serve("127.0.0.1:0", ServedQuery::new(g)).unwrap();
 
     let mut publisher = Client::publisher(handle.addr()).unwrap();
     publisher.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
@@ -467,11 +473,23 @@ fn stats_serves_metrics_snapshots() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let stats = publisher.stats().unwrap();
-    assert_eq!(stats.len(), 1);
-    assert_eq!(stats[0].name, "select");
-    assert_eq!(stats[0].tuples_in, 200);
-    assert!(stats[0].calls > 0);
+    let (metrics, _) = publisher.stats_v2().unwrap();
+    let select_counter = |family: &str| {
+        metrics
+            .iter()
+            .find(|m| {
+                m.family == family && m.labels.iter().any(|(k, v)| k == "op" && v == "select")
+            })
+            .map(|m| m.value.clone())
+    };
+    assert_eq!(
+        select_counter("engine_op_tuples_in_total"),
+        Some(MetricValue::Counter(200))
+    );
+    assert!(matches!(
+        select_counter("engine_op_batches_total"),
+        Some(MetricValue::Counter(n)) if n > 0
+    ));
     handle.shutdown();
 }
 

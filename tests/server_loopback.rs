@@ -435,17 +435,27 @@ fn malformed_frame_gets_error_response_and_is_recorded() {
         }
     }
     let errors = handle.shutdown();
-    let malformed = |unknown_tag: bool| {
-        errors.iter().any(|e| match e {
-            ServerError::Malformed { error, .. } => {
-                unknown_tag == matches!(error, WireError::UnknownTag { tag: 0x05, .. })
-            }
-            _ => false,
+    let malformed: Vec<&WireError> = errors
+        .iter()
+        .filter_map(|e| match e {
+            ServerError::Malformed { error, .. } => Some(error),
+            _ => None,
         })
-    };
+        .collect();
+    assert_eq!(
+        malformed.len(),
+        2,
+        "one Malformed record per frame: {errors:?}"
+    );
     assert!(
-        malformed(false) && malformed(true),
-        "expected a Malformed record per frame, got {errors:?}"
+        malformed.iter().any(|e| matches!(
+            e,
+            WireError::UnknownTag {
+                what: "Request",
+                tag: 0x05
+            }
+        )),
+        "the retired kind is an unknown request tag: {errors:?}"
     );
 }
 

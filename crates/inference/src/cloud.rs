@@ -2,6 +2,7 @@
 //! "factorization breaks a large particle over all hidden variables into
 //! smaller particles over individual hidden variables".
 
+use crate::normal::standard_normal;
 use rand::rngs::StdRng;
 use rand::Rng;
 use ustream_prob::samples::WeightedSamplesNd;
@@ -30,16 +31,11 @@ impl ParticleCloud {
     /// Initialize from a known point with jitter (reference tags).
     pub fn around(n: usize, center: [f64; 2], jitter: f64, rng: &mut StdRng) -> Self {
         assert!(n >= 1);
-        let gauss = |rng: &mut StdRng| {
-            let u1: f64 = rng.gen::<f64>().max(1e-12);
-            let u2: f64 = rng.gen::<f64>();
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        };
         let xs = (0..n)
             .map(|_| {
                 [
-                    center[0] + jitter * gauss(rng),
-                    center[1] + jitter * gauss(rng),
+                    center[0] + jitter * standard_normal(rng),
+                    center[1] + jitter * standard_normal(rng),
                 ]
             })
             .collect();

@@ -16,6 +16,11 @@
 //!   only its own state and the scan. A scan's candidate clouds are
 //!   therefore updated on every core, and the result is the same whatever
 //!   the update order or worker count.
+//! - **Normals**: motion draws its Gaussians from an exact ziggurat
+//!   sampler fed only by the object's own stream, usually one `next_u64`
+//!   and a multiply per draw. A jump that cannot happen (`move_prob` of
+//!   0) draws nothing, and the likelihood skips `sqrt` and `exp` for a
+//!   particle that is provably beyond the reader's range.
 
 use crate::cloud::ParticleCloud;
 use crate::model::{MotionModel, ObservationModel, ScanLikelihood};

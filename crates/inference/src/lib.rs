@@ -12,6 +12,8 @@
 //!   random stream per object so a scan's clouds update in parallel and
 //!   the result does not depend on update order or worker count.
 //! - [`spatial`] — the uniform-grid index.
+//! - `normal` — the crate's one standard-normal sampler, an exact
+//!   ziggurat drawing only from the generator it is handed.
 //! - [`adaptive`] — §4.2 reference-tag probe and double-then-decrement
 //!   particle-count controller.
 //! - [`toperator`] — the end-to-end T operator emitting uncertain
@@ -22,6 +24,7 @@ pub mod cloud;
 pub mod factored_pf;
 pub mod joint_pf;
 pub mod model;
+mod normal;
 pub mod spatial;
 pub mod toperator;
 

@@ -8,6 +8,7 @@
 //! does not know the reader's facing direction (the trace generator
 //! does), a realistic model mismatch.
 
+use crate::normal::standard_normal;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rfid_sim::SensingModel;
@@ -41,22 +42,17 @@ impl MotionModel {
         move_prob: f64,
         rng: &mut StdRng,
     ) {
-        if !self.shelf_xy.is_empty() && rng.gen::<f64>() < move_prob {
+        // A jump that cannot happen draws nothing: objects that hold
+        // still pay for two normals per particle and no uniform.
+        if move_prob > 0.0 && !self.shelf_xy.is_empty() && rng.gen::<f64>() < move_prob {
             let s = self.shelf_xy[rng.gen_range(0..self.shelf_xy.len())];
-            p[0] = s[0] + self.placement_jitter * gauss(rng);
-            p[1] = s[1] + self.placement_jitter * gauss(rng);
+            p[0] = s[0] + self.placement_jitter * standard_normal(rng);
+            p[1] = s[1] + self.placement_jitter * standard_normal(rng);
         } else {
-            p[0] += diffusion * gauss(rng);
-            p[1] += diffusion * gauss(rng);
+            p[0] += diffusion * standard_normal(rng);
+            p[1] += diffusion * standard_normal(rng);
         }
     }
-}
-
-#[inline]
-fn gauss(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Observation model: the filter's belief about the sensing process.
@@ -83,10 +79,12 @@ impl ObservationModel {
     /// same for every particle — evaluated once.
     #[inline]
     pub(crate) fn at(&self, reader: &[f64; 3]) -> ScanLikelihood {
+        let range_sq = self.sensing.max_range * self.sensing.max_range;
         ScanLikelihood {
             obs: *self,
             reader: *reader,
             angle_logit: self.sensing.angle_logit(self.assumed_angle),
+            out_of_range_sq: (0..4).fold(range_sq, |g, _| g.next_up()),
         }
     }
 
@@ -116,6 +114,11 @@ pub(crate) struct ScanLikelihood {
     obs: ObservationModel,
     reader: [f64; 3],
     angle_logit: f64,
+    /// Four ulps above `max_range²`: a squared distance past it rounds,
+    /// through `sqrt`, to a distance past `max_range`, where the read
+    /// probability is exactly 0. Nearer the boundary the full path
+    /// decides, so every likelihood is the un-gated one bit for bit.
+    out_of_range_sq: f64,
 }
 
 impl ScanLikelihood {
@@ -123,8 +126,13 @@ impl ScanLikelihood {
     fn p_read(&self, p: &[f64; 2]) -> f64 {
         let dx = p[0] - self.reader[0];
         let dy = p[1] - self.reader[1];
-        let d = (dx * dx + dy * dy + self.obs.z_offset * self.obs.z_offset).sqrt();
-        self.obs.sensing.read_probability_with(d, self.angle_logit)
+        let d_sq = dx * dx + dy * dy + self.obs.z_offset * self.obs.z_offset;
+        if d_sq > self.out_of_range_sq {
+            return 0.0;
+        }
+        self.obs
+            .sensing
+            .read_probability_with(d_sq.sqrt(), self.angle_logit)
     }
 
     /// Positive-evidence likelihood (tag WAS read).
@@ -197,6 +205,63 @@ mod tests {
         let far = [28.0, 10.0];
         assert!(obs.likelihood_read(&near, &reader) > obs.likelihood_read(&far, &reader));
         assert!(obs.likelihood_missed(&far, &reader) > obs.likelihood_missed(&near, &reader));
+    }
+
+    /// `read` and `missed` through the range gate equal the un-gated
+    /// formula bit for bit, on a ring of points a few ulps either side of
+    /// `max_range` and on random points near and far.
+    #[test]
+    fn range_gate_keeps_likelihoods_bit_identical() {
+        let ungated = |obs: &ObservationModel, p: &[f64; 2], reader: &[f64; 3]| {
+            let (dx, dy) = (p[0] - reader[0], p[1] - reader[1]);
+            let d = (dx * dx + dy * dy + obs.z_offset * obs.z_offset).sqrt();
+            let p_read = obs
+                .sensing
+                .read_probability_with(d, obs.sensing.angle_logit(obs.assumed_angle));
+            (p_read.max(1e-9), (1.0 - p_read).max(1e-9))
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut gated, mut full_path) = (0, 0);
+        for max_range in [20.0, 7.3, 0.1, 1e3] {
+            let mut sensing = SensingModel::noisy();
+            sensing.max_range = max_range;
+            let obs = ObservationModel::new(sensing);
+            let reader = [4.25, -1.5, 4.0];
+            let scan = obs.at(&reader);
+            let z_sq = obs.z_offset * obs.z_offset;
+            let check = |p: [f64; 2]| {
+                let got = (scan.read(&p), scan.missed(&p));
+                let want = ungated(&obs, &p, &reader);
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "read at {p:?}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "missed at {p:?}");
+                let (dx, dy) = (p[0] - reader[0], p[1] - reader[1]);
+                dx * dx + dy * dy + z_sq > scan.out_of_range_sq
+            };
+            // The ring: horizontal radius such that the 3-D distance is
+            // max_range ± k ulps.
+            for k in -8i64..=8 {
+                let d = f64::from_bits((max_range.to_bits() as i64 + k) as u64);
+                let h = (d * d - z_sq).max(0.0).sqrt();
+                for j in 0..64 {
+                    let theta = j as f64 * std::f64::consts::TAU / 64.0;
+                    let p = [reader[0] + h * theta.cos(), reader[1] + h * theta.sin()];
+                    if check(p) {
+                        gated += 1;
+                    } else {
+                        full_path += 1;
+                    }
+                }
+            }
+            for _ in 0..100_000 / 4 {
+                let scale = 3.0 * max_range;
+                let p = [
+                    reader[0] + scale * (2.0 * rng.gen::<f64>() - 1.0),
+                    reader[1] + scale * (2.0 * rng.gen::<f64>() - 1.0),
+                ];
+                check(p);
+            }
+        }
+        assert!(gated > 0 && full_path > 0, "the ring straddles the gate");
     }
 
     #[test]

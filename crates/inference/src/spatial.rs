@@ -3,7 +3,7 @@
 //! reader can only observe a small set of objects at a time").
 
 /// A uniform grid over the floor mapping cells → object ids, keyed by
-//  each object's current estimated position.
+/// each object's current estimated position.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell: f64,

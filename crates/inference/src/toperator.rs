@@ -22,8 +22,6 @@ pub struct RfidTOperator {
     filter: FactoredFilter,
     policy: ConversionPolicy,
     schema: Arc<Schema>,
-    /// Emit a tuple for an object only when it was read in the scan.
-    emit_on_read_only: bool,
     /// Total tuples emitted (diagnostics).
     pub emitted: u64,
 }
@@ -41,23 +39,12 @@ impl RfidTOperator {
             filter: FactoredFilter::new(num_objects, cfg),
             policy,
             schema,
-            emit_on_read_only: true,
             emitted: 0,
         }
     }
 
-    /// Also emit tuples for unread-but-updated objects each scan.
-    pub fn emit_all_updated(mut self) -> Self {
-        self.emit_on_read_only = false;
-        self
-    }
-
     pub fn filter(&self) -> &FactoredFilter {
         &self.filter
-    }
-
-    pub fn filter_mut(&mut self) -> &mut FactoredFilter {
-        &mut self.filter
     }
 
     pub fn schema(&self) -> &Arc<Schema> {
@@ -105,19 +92,12 @@ impl TransformOperator for RfidTOperator {
             .unwrap_or(scan.truth.reader_pos);
         self.filter.process_scan(reader_pos, &read_objects);
 
+        // One tuple per object read in the scan.
         let ts = scan.truth.ts;
-        let emit_ids: Vec<u32> = if self.emit_on_read_only {
-            let mut ids = read_objects;
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        } else {
-            (0..self.filter.num_objects() as u32).collect()
-        };
-        let out: Vec<Tuple> = emit_ids
-            .into_iter()
-            .map(|id| self.tuple_for(ts, id))
-            .collect();
+        let mut ids = read_objects;
+        ids.sort_unstable();
+        ids.dedup();
+        let out: Vec<Tuple> = ids.into_iter().map(|id| self.tuple_for(ts, id)).collect();
         self.emitted += out.len() as u64;
         out
     }

@@ -1,8 +1,11 @@
 //! Bench for the probabilistic join's match-probability kernels: the
 //! Gaussian closed form vs the Monte-Carlo fallback, and the multivariate
-//! loc_equals path of Q2.
+//! loc_equals path of Q2 — isotropic locations, and correlated clouds
+//! shaped like the RFID T operator's fitted output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ustream_core::ops::join::{JoinCondition, WindowJoin};
 use ustream_core::ops::Operator;
 use ustream_core::schema::{DataType, Schema};
@@ -116,6 +119,61 @@ fn bench_join(c: &mut Criterion) {
                     j
                 },
                 |mut j| j.process(1, mk(100, 9.0)),
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+
+    // Q2 loc_equals over fitted-looking clouds: correlated covariances
+    // (sd 0.5–4 ft, |ρ| ≤ 0.8), 56 of the 64 candidates scattered over a
+    // 200 × 200 ft floor and 8 within 10 ft of the probe, ε = 8 ft and
+    // Q2's min_prob 0.25 — the shape of rfid_capture's Q2 join.
+    {
+        let s = Schema::builder()
+            .field("loc", DataType::UncertainVec(2))
+            .build();
+        let cloud = |rng: &mut StdRng, x: f64, y: f64| {
+            let (sx, sy) = (rng.gen_range(0.5..4.0), rng.gen_range(0.5..4.0));
+            let c = rng.gen_range(-0.8..0.8) * sx * sy;
+            Updf::Mv(MvGaussian::new(vec![x, y], vec![sx * sx, c, c, sy * sy]))
+        };
+        let mut rng = StdRng::seed_from_u64(0x0C2);
+        let window: Vec<Tuple> = (0..64u64)
+            .map(|i| {
+                let (x, y) = if i % 8 == 0 {
+                    (
+                        100.0 + rng.gen_range(-10.0..10.0),
+                        100.0 + rng.gen_range(-10.0..10.0),
+                    )
+                } else {
+                    (rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0))
+                };
+                Tuple::new(s.clone(), vec![Value::from(cloud(&mut rng, x, y))], i)
+            })
+            .collect();
+        let probe = Tuple::new(
+            s.clone(),
+            vec![Value::from(cloud(&mut rng, 100.0, 100.0))],
+            100,
+        );
+        group.bench_function("loc_equals_fitted_clouds", |b| {
+            b.iter_batched(
+                || {
+                    let mut j = WindowJoin::new(
+                        1_000_000,
+                        JoinCondition::LocEquals {
+                            left_field: "loc".into(),
+                            right_field: "loc".into(),
+                            epsilon: 8.0,
+                        },
+                        0.25,
+                    );
+                    for t in &window {
+                        j.process(0, t.clone());
+                    }
+                    j
+                },
+                |mut j| j.process(1, probe.clone()),
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -7,6 +7,15 @@
 //! output's existence, unions lineage, and (optionally) emits provenance
 //! columns so a downstream aggregation can detect and exactly handle the
 //! correlation a one-to-many join creates (§5.2).
+//!
+//! `loc_equals` runs at a small fixed cost per candidate pair. Most pairs
+//! in a window are far apart, so before any box probability is computed
+//! a pair of multivariate Gaussians is tested against a sound upper
+//! bound: P(‖X − Y‖∞ ≤ ε) is at most the smallest per-axis band
+//! probability of X − Y. A pair whose bound times both existences cannot
+//! reach `min_prob` is skipped; it could not have passed the existence
+//! filter, so the output is unchanged. Survivors get the closed-form 2-d
+//! box probability of [`MvGaussian::prob_in_box`].
 
 use crate::batch::Batch;
 use crate::lineage::Archive;
@@ -19,7 +28,8 @@ use crate::window::SlidingBuffer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use ustream_prob::dist::{Dist, Gaussian};
+use ustream_prob::dist::{Dist, Gaussian, MvGaussian};
+use ustream_prob::special::std_normal_cdf;
 
 /// Key-extraction closure for certain equi-joins.
 pub type KeyFn = Box<dyn Fn(&Tuple) -> Option<GroupKey> + Send>;
@@ -244,7 +254,11 @@ impl WindowJoin {
     /// Probe the opposite buffer with `t`, appending matches to `out`.
     /// Only *matching* candidates are cloned (to release the buffer
     /// borrow before `emit`'s schema-cache mutation) — probing no longer
-    /// copies the whole window per arriving tuple.
+    /// copies the whole window per arriving tuple. A `LocEquals` pair of
+    /// multivariate Gaussians whose per-axis band bound
+    /// ([`loc_equals_rejects`]) cannot reach `min_prob` is skipped before
+    /// its box probability is computed; no skipped pair could pass the
+    /// `p·lₑ·rₑ ≥ min_prob` filter below, and `min_prob` = 0 skips none.
     fn probe_into(&mut self, incoming_port: usize, t: &Tuple, out: &mut Vec<Tuple>) {
         let mut matched: Vec<(Tuple, f64)> = Vec::new();
         {
@@ -269,7 +283,7 @@ impl WindowJoin {
                         continue;
                     }
                 }
-                let Some(p) = match_probability(condition, rng, l, r) else {
+                let Some(p) = match_probability(condition, rng, l, r, *min_prob) else {
                     continue;
                 };
                 if p * l.existence * r.existence >= *min_prob && p > 0.0 {
@@ -402,12 +416,15 @@ impl WindowJoin {
 }
 
 /// Match probability for a candidate pair (free function so the probe
-/// loop can borrow the window buffers and the rng disjointly).
+/// loop can borrow the window buffers and the rng disjointly); `None`
+/// when the pair cannot match, including a `LocEquals` pair the band
+/// bound rejects against `min_prob`.
 fn match_probability(
     condition: &JoinCondition,
     rng: &mut StdRng,
     l: &Tuple,
     r: &Tuple,
+    min_prob: f64,
 ) -> Option<f64> {
     match condition {
         JoinCondition::KeyEquals { left, right } => {
@@ -430,9 +447,48 @@ fn match_probability(
         } => {
             let lu = l.updf(left_field).ok()?;
             let ru = r.updf(right_field).ok()?;
+            // min_prob = 0 rejects nothing, so the bound is not computed.
+            if let (Updf::Mv(a), Updf::Mv(b)) = (lu, ru) {
+                let existence = l.existence * r.existence;
+                if min_prob > 0.0
+                    && a.dim() == b.dim()
+                    && loc_equals_rejects(a, b, *epsilon, existence, min_prob)
+                {
+                    return None;
+                }
+            }
             Some(loc_equals_probability(lu, ru, *epsilon, rng))
         }
     }
+}
+
+/// Added to the band bound before it is held against `min_prob`: above
+/// the largest tested error of `MvGaussian::prob_in_box` in any dimension
+/// (≤ 1e-12 for the 2-d closed form, ~1e-8 for the quadrature in 3-d and
+/// up), so the kernel could never have returned more than bound + slack.
+const BAND_BOUND_SLACK: f64 = 1e-6;
+
+/// Sound rejection for `loc_equals` over independent X ~ `a`, Y ~ `b`:
+/// P(‖X − Y‖∞ ≤ ε) ≤ minᵢ P(|Xᵢ − Yᵢ| ≤ ε) = Φ((ε − mᵢ)/sᵢ) − Φ((−ε − mᵢ)/sᵢ),
+/// with mᵢ = μᵃᵢ − μᵇᵢ and sᵢ² = Σᵃᵢᵢ + Σᵇᵢᵢ floored as in
+/// `MvGaussian::marginal`. True when some axis's band plus
+/// [`BAND_BOUND_SLACK`], times `existence` (= lₑ·rₑ), is below
+/// `min_prob`. Builds no difference distribution and draws no random
+/// number; a non-finite input never rejects.
+fn loc_equals_rejects(
+    a: &MvGaussian,
+    b: &MvGaussian,
+    epsilon: f64,
+    existence: f64,
+    min_prob: f64,
+) -> bool {
+    (0..a.dim()).any(|i| {
+        let m = a.mean()[i] - b.mean()[i];
+        let s = (a.cov_at(i, i) + b.cov_at(i, i)).max(1e-18).sqrt();
+        let band = (std_normal_cdf((epsilon - m) / s) - std_normal_cdf((-epsilon - m) / s))
+            .clamp(0.0, 1.0);
+        (band + BAND_BOUND_SLACK) * existence < min_prob
+    })
 }
 
 /// P(|X − Y| ≤ ε) for independent scalar uncertain attributes.
@@ -896,6 +952,123 @@ mod tests {
         assert_eq!(j.partition_keys(), crate::ops::Partitioning::Key);
         assert_eq!(j.partition_key_field(0), Some("group"));
         assert_eq!(j.partition_key_field(1), Some("gname"));
+    }
+
+    /// A seeded correlated 2- or 3-d location: sd 0.05–6 per axis,
+    /// pairwise correlation up to ±0.95 (3-d built from an AR(1)-style
+    /// correlation so it stays positive definite).
+    fn random_location(rng: &mut StdRng, d: usize) -> MvGaussian {
+        use rand::Rng;
+        let mean: Vec<f64> = (0..d).map(|_| rng.gen_range(-20.0..20.0)).collect();
+        let sd: Vec<f64> = (0..d).map(|_| rng.gen_range(0.05..6.0)).collect();
+        let rho: f64 = rng.gen_range(-0.95..0.95);
+        let mut cov = vec![0.0; d * d];
+        for i in 0..d {
+            for j in 0..d {
+                cov[i * d + j] = sd[i] * sd[j] * rho.powi((i as i32 - j as i32).abs());
+            }
+        }
+        MvGaussian::new(mean, cov)
+    }
+
+    #[test]
+    fn loc_equals_rejection_is_sound() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x10CE);
+        let eps = 8.0;
+        let mut rejected = [0usize; 3];
+        let mut kept_passing = 0usize;
+        for pair in 0..3000 {
+            let d = if pair % 10 == 9 { 3 } else { 2 };
+            let (a, b) = (random_location(&mut rng, d), random_location(&mut rng, d));
+            // Existences in (0, 1], every fourth pair certain.
+            let mut existence = || match pair % 4 {
+                0 => 1.0,
+                _ => 1.0 - rng.gen_range(0.0..0.99),
+            };
+            let (le, re) = (existence(), existence());
+            let p = a.difference(&b).prob_in_box(&vec![-eps; d], &vec![eps; d]);
+            for (slot, min_prob) in [0.0, 0.25, 0.9].into_iter().enumerate() {
+                if loc_equals_rejects(&a, &b, eps, le * re, min_prob) {
+                    rejected[slot] += 1;
+                    assert!(
+                        p * le * re < min_prob,
+                        "rejected a passing pair: p = {p}, lₑ = {le}, rₑ = {re}, min_prob = {min_prob}"
+                    );
+                } else if min_prob > 0.0 && p * le * re >= min_prob {
+                    kept_passing += 1;
+                }
+            }
+        }
+        assert_eq!(rejected[0], 0, "min_prob = 0 rejects nothing");
+        assert!(
+            rejected[1] > 1000 && rejected[2] > rejected[1],
+            "{rejected:?}"
+        );
+        assert!(
+            kept_passing > 50,
+            "the feed has passing pairs too: {kept_passing}"
+        );
+    }
+
+    #[test]
+    fn loc_equals_join_emits_exactly_the_passing_pairs() {
+        // A window of fitted-looking clouds, most of them far from the
+        // probe: the join's output must be every pair whose exact
+        // p·lₑ·rₑ reaches min_prob, with the same existence bits.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x0F17);
+        let mut j = loc_join(8.0, 0.25);
+        let mut left = Vec::new();
+        for i in 0..200 {
+            let mut t = Tuple::new(
+                loc_schema(),
+                vec![
+                    Value::from(i as i64),
+                    Value::from(Updf::Mv(random_location(&mut rng, 2))),
+                ],
+                i,
+            );
+            t.existence = 1.0 - rng.gen_range(0.0..0.7);
+            assert!(j.process(0, t.clone()).is_empty());
+            left.push(t);
+        }
+        let mut emitted = 0;
+        for k in 0..20 {
+            let mut probe = Tuple::new(
+                temp_schema(),
+                vec![
+                    Value::from(k as i64),
+                    Value::from(Updf::Mv(random_location(&mut rng, 2))),
+                    Value::from(Updf::Parametric(Dist::gaussian(65.0, 1.0))),
+                ],
+                300,
+            );
+            probe.existence = 1.0 - rng.gen_range(0.0..0.7);
+            let want: Vec<u64> = left
+                .iter()
+                .filter_map(|l| {
+                    let (Ok(Updf::Mv(a)), Ok(Updf::Mv(b))) = (l.updf("loc"), probe.updf("loc"))
+                    else {
+                        unreachable!("Mv payloads on both sides")
+                    };
+                    let p = a.difference(b).prob_in_box(&[-8.0; 2], &[8.0; 2]);
+                    (p * l.existence * probe.existence >= 0.25 && p > 0.0).then(|| {
+                        (l.existence * probe.existence * p)
+                            .clamp(0.0, 1.0)
+                            .to_bits()
+                    })
+                })
+                .collect();
+            let got: Vec<u64> = j
+                .process(1, probe)
+                .iter()
+                .map(|o| o.existence.to_bits())
+                .collect();
+            emitted += got.len();
+            assert_eq!(got, want);
+        }
+        assert!(emitted > 0, "the feed produces alerts");
     }
 
     #[test]

@@ -55,15 +55,6 @@ pub fn ks_distance(p: &Dist, q: &Dist) -> f64 {
     sup
 }
 
-/// KS distance between a histogram and a parametric distribution.
-pub fn ks_distance_hist(hist: &HistogramPdf, q: &Dist) -> f64 {
-    let mut sup: f64 = 0.0;
-    for (x, _) in common_grid(hist.lo(), hist.hi(), 4 * hist.num_bins()) {
-        sup = sup.max((hist.cdf(x) - q.cdf(x)).abs());
-    }
-    sup
-}
-
 /// Closed-form KL divergence KL(p‖q) between two Gaussians.
 pub fn kl_gaussian(p: &Gaussian, q: &Gaussian) -> f64 {
     let (m0, s0) = (p.mean(), p.std_dev());

@@ -93,15 +93,6 @@ impl RunningMoments {
         }
     }
 
-    /// Unbiased sample variance (divides by n−1).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n as f64 - 1.0)
-        }
-    }
-
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }

@@ -7,6 +7,13 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use ustream_prob::samples::WeightedSamplesNd;
 
+/// Proposals [`ParticleCloud::redraw_in_disk`] makes per particle.
+const DISK_TRIES: usize = 64;
+
+fn uniform_point(extent: (f64, f64), rng: &mut StdRng) -> [f64; 2] {
+    [rng.gen::<f64>() * extent.0, rng.gen::<f64>() * extent.1]
+}
+
 /// Weighted particles over one object's (x, y) position.
 #[derive(Debug, Clone)]
 pub struct ParticleCloud {
@@ -19,9 +26,7 @@ impl ParticleCloud {
     /// Initialize uniformly over the floor extent.
     pub fn uniform(n: usize, extent: (f64, f64), rng: &mut StdRng) -> Self {
         assert!(n >= 1);
-        let xs = (0..n)
-            .map(|_| [rng.gen::<f64>() * extent.0, rng.gen::<f64>() * extent.1])
-            .collect();
+        let xs = (0..n).map(|_| uniform_point(extent, rng)).collect();
         ParticleCloud {
             xs,
             ws: vec![1.0 / n as f64; n],
@@ -43,6 +48,56 @@ impl ParticleCloud {
             xs,
             ws: vec![1.0 / n as f64; n],
         }
+    }
+
+    /// Redraw every particle, in place and with equal weights, uniformly
+    /// over the disk of `radius` around `center` intersected with the
+    /// floor `[0, extent.0] × [0, extent.1]`; over the whole floor when
+    /// the disk misses it.
+    ///
+    /// Proposals come from the disk's bounding box clipped to the floor,
+    /// which the disk fills by at least π/4 whenever the centre is on the
+    /// floor. A particle gets at most 64 proposals; one that misses
+    /// the disk every time (only when the disk barely grazes the floor)
+    /// keeps its last, a floor point just outside the disk.
+    pub(crate) fn redraw_in_disk(
+        &mut self,
+        center: [f64; 2],
+        radius: f64,
+        extent: (f64, f64),
+        rng: &mut StdRng,
+    ) {
+        let r_sq = radius * radius;
+        // The floor point nearest the centre: the disk meets the floor
+        // iff it lies inside the disk.
+        let gap = [
+            center[0].clamp(0.0, extent.0) - center[0],
+            center[1].clamp(0.0, extent.1) - center[1],
+        ];
+        if gap[0] * gap[0] + gap[1] * gap[1] < r_sq {
+            let x0 = (center[0] - radius).max(0.0);
+            let y0 = (center[1] - radius).max(0.0);
+            let box_extent = (
+                (center[0] + radius).min(extent.0) - x0,
+                (center[1] + radius).min(extent.1) - y0,
+            );
+            for x in self.xs.iter_mut() {
+                for _ in 0..DISK_TRIES {
+                    let p = uniform_point(box_extent, rng);
+                    *x = [x0 + p[0], y0 + p[1]];
+                    let (dx, dy) = (x[0] - center[0], x[1] - center[1]);
+                    if dx * dx + dy * dy < r_sq {
+                        break;
+                    }
+                }
+            }
+        } else {
+            for x in self.xs.iter_mut() {
+                *x = uniform_point(extent, rng);
+            }
+        }
+        let w = 1.0 / self.ws.len() as f64;
+        self.ws.fill(w);
     }
 
     pub fn len(&self) -> usize {
@@ -259,6 +314,33 @@ mod tests {
             assert_eq!(c.particles(), &expected[..], "{m} -> {n}");
             assert!(c.weights().iter().all(|&w| w == 1.0 / n as f64));
         }
+    }
+
+    #[test]
+    fn redraw_in_disk_stays_on_the_floor() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut c = ParticleCloud::uniform(500, (60.0, 40.0), &mut rng);
+        c.reweight(|p| p[0]);
+        // Inside, at a corner, grazing a corner from outside, and missing.
+        for (center, radius, in_disk) in [
+            ([30.0, 20.0], 10.0, true),
+            ([0.0, 40.0], 10.0, true),
+            ([-7.07, -7.07], 10.0, false),
+            ([100.0, 20.0], 10.0, false),
+        ] {
+            c.redraw_in_disk(center, radius, (60.0, 40.0), &mut rng);
+            assert_eq!(c.len(), 500);
+            assert!(c.weights().iter().all(|&w| w == 1.0 / 500.0));
+            for p in c.particles() {
+                assert!((0.0..=60.0).contains(&p[0]) && (0.0..=40.0).contains(&p[1]));
+                let d = ((p[0] - center[0]).powi(2) + (p[1] - center[1]).powi(2)).sqrt();
+                if in_disk {
+                    assert!(d < radius, "{p:?} outside the disk at {center:?}");
+                }
+            }
+        }
+        // The disk that misses leaves the whole floor.
+        assert!(c.spread() > 10.0);
     }
 
     #[test]

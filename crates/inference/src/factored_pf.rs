@@ -6,7 +6,18 @@
 //! - **Factorization**: one independent particle cloud per object instead
 //!   of a joint particle over all objects.
 //! - **Spatial indexing**: only objects whose estimated position is near
-//!   the reader receive (negative) evidence for a scan.
+//!   the reader receive (negative) evidence for a scan. The index holds
+//!   only objects read at least once; a scan's candidates are the indexed
+//!   objects near the reader plus that scan's reads (without the index,
+//!   every object read so far plus that scan's reads).
+//! - **Entry at first reading**: an object keeps its construction-time
+//!   uniform prior, untouched, until a scan reads it. That read redraws
+//!   its cloud in place, uniformly over the read zone (the disk where the
+//!   read probability is positive) intersected with the floor, and the
+//!   read reweight then gives the exact posterior of a uniform prior read
+//!   there, on particles that all carry mass. Misses before the first
+//!   read are dropped: an unread object's uniform cloud says nothing
+//!   about where it is.
 //! - **Compression**: clouds that have stabilized in a small region are
 //!   resampled down to a fraction of the particle budget.
 //! - **Lazy propagation**: an object's motion model is applied only when
@@ -71,7 +82,8 @@ struct Track {
     cloud: ParticleCloud,
     /// This object's own random stream.
     rng: StdRng,
-    /// Scan index at which the cloud was last propagated.
+    /// Scan index at which the cloud was last propagated; 0 until the
+    /// object's first reading (scans count from 1).
     last_step: u64,
     /// Posterior mean after the last update (the index is keyed on it).
     mean: [f64; 2],
@@ -85,9 +97,25 @@ struct ScanContext<'a> {
 }
 
 impl Track {
+    /// Whether a scan has read this object yet.
+    fn entered(&self) -> bool {
+        self.last_step != 0
+    }
+
     /// Apply one scan's evidence; returns the particles touched.
     fn update(&mut self, was_read: bool, scan: &ScanContext) -> usize {
         let cfg = scan.cfg;
+        if !self.entered() {
+            // A miss before the first read is dropped; the first read
+            // redraws the prior over the read zone.
+            if !was_read {
+                return 0;
+            }
+            let (center, radius) = scan.obs.read_zone();
+            self.cloud
+                .redraw_in_disk(center, radius, cfg.extent, &mut self.rng);
+            self.last_step = scan.step;
+        }
         // Lazy propagation: fold the scans elapsed since the cloud was
         // last touched into one motion step.
         let elapsed = scan.step - self.last_step;
@@ -183,13 +211,10 @@ impl FactoredFilter {
                 }
             })
             .collect();
-        let grid = cfg.use_spatial_index.then(|| {
-            let mut g = SpatialGrid::new(cfg.extent, cfg.obs.sensing.max_range / 2.0, num_objects);
-            for (i, t) in tracks.iter().enumerate() {
-                g.update(i as u32, &t.mean);
-            }
-            g
-        });
+        // Objects enter the index at their first reading.
+        let grid = cfg
+            .use_spatial_index
+            .then(|| SpatialGrid::new(cfg.extent, cfg.obs.sensing.max_range / 2.0, num_objects));
         FactoredFilter {
             tracks,
             candidate_at: vec![0; num_objects],
@@ -209,11 +234,14 @@ impl FactoredFilter {
         &self.cfg
     }
 
-    /// Posterior mean of an object's position.
+    /// Posterior mean of an object's position; for an object no scan has
+    /// read, the mean of its uniform prior.
     pub fn estimate(&self, id: u32) -> [f64; 2] {
         self.tracks[id as usize].cloud.mean()
     }
 
+    /// An object's particle cloud; for an object no scan has read, the
+    /// uniform prior it was built with.
     pub fn cloud(&self, id: u32) -> &ParticleCloud {
         &self.tracks[id as usize].cloud
     }
@@ -234,13 +262,16 @@ impl FactoredFilter {
         self.step += 1;
         let step = self.step;
 
-        // Candidate set: near the reader per the index, or everyone.
+        // Candidate set: objects read before, near the reader per the
+        // index or all of them, plus this scan's reads below.
         let mut candidates: Vec<u32> = match &self.grid {
             Some(g) => g.candidates(
                 &[reader_pos[0], reader_pos[1]],
                 self.cfg.obs.sensing.max_range * 1.25,
             ),
-            None => (0..self.tracks.len() as u32).collect(),
+            None => (0..self.tracks.len() as u32)
+                .filter(|&id| self.tracks[id as usize].entered())
+                .collect(),
         };
         for &id in &candidates {
             self.candidate_at[id as usize] = step;
@@ -312,7 +343,36 @@ impl FactoredFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_sim::{SensingModel, TagRef, TraceConfig, TraceGenerator, WorldConfig};
+    use rfid_sim::{Scan, SensingModel, TagRef, TraceConfig, TraceGenerator, WorldConfig};
+    use std::collections::HashSet;
+
+    /// The object ids a scan read.
+    fn object_ids(scan: &Scan) -> Vec<u32> {
+        scan.readings
+            .iter()
+            .filter_map(|r| match r.tag {
+                TagRef::Object(id) => Some(id),
+                TagRef::Shelf(_) => None,
+            })
+            .collect()
+    }
+
+    /// The static, cleanly sensed trace `run_filter_world` patrols.
+    fn world_trace(n_objects: usize, shelf_grid: usize) -> TraceGenerator {
+        TraceGenerator::new(TraceConfig {
+            world: WorldConfig {
+                shelf_rows: shelf_grid,
+                shelf_cols: shelf_grid,
+                num_objects: n_objects,
+                move_prob: 0.0,
+                seed: 11,
+                ..Default::default()
+            },
+            sensing: SensingModel::clean(),
+            seed: 13,
+            ..Default::default()
+        })
+    }
 
     fn run_filter(
         n_objects: usize,
@@ -332,20 +392,7 @@ mod tests {
         compression: Option<CompressionConfig>,
         shelf_grid: usize,
     ) -> (FactoredFilter, Vec<[f64; 2]>) {
-        let tc = TraceConfig {
-            world: WorldConfig {
-                shelf_rows: shelf_grid,
-                shelf_cols: shelf_grid,
-                num_objects: n_objects,
-                move_prob: 0.0,
-                seed: 11,
-                ..Default::default()
-            },
-            sensing: SensingModel::clean(),
-            seed: 13,
-            ..Default::default()
-        };
-        let mut gen = TraceGenerator::new(tc);
+        let mut gen = world_trace(n_objects, shelf_grid);
         let shelf_xy: Vec<[f64; 2]> = gen
             .world
             .shelves()
@@ -372,15 +419,7 @@ mod tests {
         let mut last_truth = Vec::new();
         for _ in 0..scans {
             let scan = gen.next_scan();
-            let read: Vec<u32> = scan
-                .readings
-                .iter()
-                .filter_map(|r| match r.tag {
-                    TagRef::Object(id) => Some(id),
-                    TagRef::Shelf(_) => None,
-                })
-                .collect();
-            filter.process_scan(scan.truth.reader_pos, &read);
+            filter.process_scan(scan.truth.reader_pos, &object_ids(&scan));
             last_truth = scan.truth.object_xy.clone();
         }
         (filter, last_truth)
@@ -434,15 +473,7 @@ mod tests {
         let scans = (0..200)
             .map(|_| {
                 let scan = gen.next_scan();
-                let read = scan
-                    .readings
-                    .iter()
-                    .filter_map(|r| match r.tag {
-                        TagRef::Object(id) => Some(id),
-                        TagRef::Shelf(_) => None,
-                    })
-                    .collect();
-                (scan.truth.reader_pos, read)
+                (scan.truth.reader_pos, object_ids(&scan))
             })
             .collect();
         (cfg, scans)
@@ -554,7 +585,167 @@ mod tests {
         );
         let (mut unindexed, _) = run_filter_world(100, 50, 200, false, None, 15);
         let stats2 = unindexed.process_scan([5.0, 5.0, 4.0], &[]);
-        assert_eq!(stats2.candidates, 100, "no index ⇒ all candidates");
+        let mut gen = world_trace(100, 15);
+        let read_so_far: HashSet<u32> = (0..200)
+            .flat_map(|_| object_ids(&gen.next_scan()))
+            .collect();
+        assert_eq!(
+            stats2.candidates,
+            read_so_far.len(),
+            "no index ⇒ candidates = distinct objects read so far"
+        );
+    }
+
+    #[test]
+    fn never_read_objects_are_never_touched() {
+        let (f, _) = run_filter_world(100, 50, 200, true, None, 15);
+        let built = FactoredFilter::new(100, f.cfg.clone());
+        let mut gen = world_trace(100, 15);
+        let read: HashSet<u32> = (0..200)
+            .flat_map(|_| object_ids(&gen.next_scan()))
+            .collect();
+        let never_read: Vec<usize> = (0..100)
+            .filter(|&id| !read.contains(&(id as u32)))
+            .collect();
+        assert!(
+            !never_read.is_empty() && read.len() > 25,
+            "the trace reads some objects and not others ({} read)",
+            read.len()
+        );
+        for id in never_read {
+            let (now, then) = (&f.tracks[id], &built.tracks[id]);
+            assert_eq!(now.cloud.particles(), then.cloud.particles(), "object {id}");
+            assert_eq!(now.cloud.weights(), then.cloud.weights(), "object {id}");
+            assert_eq!(f.candidate_at[id], 0, "object {id} was a candidate");
+        }
+    }
+
+    /// A filter over a 60×40 ft floor whose every object the reader at
+    /// `reader` reads once; returns the filter.
+    fn read_once(reader: [f64; 3], objects: usize, particles: usize) -> FactoredFilter {
+        let cfg = FactoredConfig {
+            num_particles: particles,
+            extent: (60.0, 40.0),
+            motion: MotionModel {
+                diffusion: 0.05,
+                move_prob: 0.0,
+                shelf_xy: vec![],
+                placement_jitter: 0.5,
+            },
+            obs: ObservationModel::new(SensingModel::clean()),
+            use_spatial_index: true,
+            compression: None,
+            negative_evidence: true,
+            resample_fraction: 0.5,
+            seed: 31,
+        };
+        let mut f = FactoredFilter::new(objects, cfg);
+        let all: Vec<u32> = (0..objects as u32).collect();
+        f.process_scan(reader, &all);
+        f
+    }
+
+    /// The mean over objects of each cloud's posterior mean, and its
+    /// standard error.
+    fn mean_of_means(f: &FactoredFilter) -> ([f64; 2], [f64; 2]) {
+        let n = f.num_objects() as f64;
+        let means: Vec<[f64; 2]> = (0..f.num_objects() as u32)
+            .map(|id| f.estimate(id))
+            .collect();
+        let mut avg = [0.0; 2];
+        let mut se = [0.0; 2];
+        for axis in 0..2 {
+            avg[axis] = means.iter().map(|m| m[axis]).sum::<f64>() / n;
+            let var = means
+                .iter()
+                .map(|m| (m[axis] - avg[axis]).powi(2))
+                .sum::<f64>()
+                / (n - 1.0);
+            se[axis] = (var / n).sqrt();
+        }
+        (avg, se)
+    }
+
+    #[test]
+    fn first_read_clouds_are_the_read_posterior() {
+        // Near a corner, so the floor cuts the read zone.
+        let reader = [6.0, 9.0, 4.0];
+        // 400 particles keep the self-normalised estimate's O(1/n) bias
+        // well under the 4-SE tolerance.
+        let f = read_once(reader, 2_000, 400);
+        let obs = f.cfg.obs;
+        let (extent, range) = (f.cfg.extent, obs.sensing.max_range);
+        let r_sq = range * range - obs.z_offset * obs.z_offset;
+        for id in 0..2_000u32 {
+            for p in f.cloud(id).particles() {
+                assert!((0.0..=extent.0).contains(&p[0]) && (0.0..=extent.1).contains(&p[1]));
+                let (dx, dy) = (p[0] - reader[0], p[1] - reader[1]);
+                assert!(dx * dx + dy * dy <= r_sq, "object {id}: {p:?} out of range");
+            }
+        }
+        // The mass is carried by distinct particles, not by copies of the
+        // few uniform ones that fell in the read zone.
+        let distinct = (0..2_000u32)
+            .map(|id| {
+                let mut bits: Vec<_> = f
+                    .cloud(id)
+                    .particles()
+                    .iter()
+                    .map(|p| p.map(f64::to_bits))
+                    .collect();
+                bits.sort_unstable();
+                bits.dedup();
+                bits.len()
+            })
+            .sum::<usize>();
+        assert!(distinct > 2_000 * 300, "{distinct} distinct particles");
+        // The posterior mean of a uniform prior read here: the read
+        // likelihood's centroid over disk ∩ floor, on a 0.02 ft grid.
+        let h = 0.02;
+        let (mut mass, mut moment) = (0.0, [0.0; 2]);
+        for i in 0..((reader[0] + range) / h) as usize {
+            for j in 0..((reader[1] + range) / h) as usize {
+                let p = [(i as f64 + 0.5) * h, (j as f64 + 0.5) * h];
+                let (dx, dy) = (p[0] - reader[0], p[1] - reader[1]);
+                if p[0] > extent.0 || p[1] > extent.1 || dx * dx + dy * dy >= r_sq {
+                    continue;
+                }
+                let w = obs.likelihood_read(&p, &reader);
+                mass += w;
+                moment[0] += w * p[0];
+                moment[1] += w * p[1];
+            }
+        }
+        let (avg, se) = mean_of_means(&f);
+        for axis in 0..2 {
+            let want = moment[axis] / mass;
+            assert!(
+                (avg[axis] - want).abs() < 4.0 * se[axis],
+                "axis {axis}: {:.4} vs {want:.4} (se {:.4})",
+                avg[axis],
+                se[axis]
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_zone_off_the_floor_falls_back_to_the_floor() {
+        let f = read_once([-100.0, 500.0, 4.0], 2_000, 100);
+        let extent = f.cfg.extent;
+        for id in 0..2_000u32 {
+            for p in f.cloud(id).particles() {
+                assert!((0.0..=extent.0).contains(&p[0]) && (0.0..=extent.1).contains(&p[1]));
+            }
+        }
+        // No particle is in range, so the read leaves the uniform floor.
+        let (avg, se) = mean_of_means(&f);
+        for (axis, half) in [extent.0 / 2.0, extent.1 / 2.0].into_iter().enumerate() {
+            assert!(
+                (avg[axis] - half).abs() < 4.0 * se[axis],
+                "axis {axis}: {avg:?}"
+            );
+        }
+        assert!(f.cloud(0).spread() > 10.0, "uniform over the floor");
     }
 
     #[test]
@@ -584,8 +775,8 @@ mod tests {
 
     #[test]
     fn unread_objects_keep_wide_uncertainty() {
-        // With no readings at all, clouds stay wide (only negative
-        // evidence shapes them).
+        // An object no scan has read keeps its uniform prior, and a
+        // first read spreads a cloud over the whole read zone.
         let (filter, _) = run_filter(10, 100, 5, true, None);
         let wide = (0..10u32)
             .filter(|&id| filter.cloud(id).spread() > 3.0)

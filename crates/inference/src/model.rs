@@ -122,6 +122,15 @@ pub(crate) struct ScanLikelihood {
 }
 
 impl ScanLikelihood {
+    /// The read zone: the disk around the reader's (x, y), of radius
+    /// √(max_range² − z_offset²), outside which the read probability is
+    /// 0 (radius 0 when the range does not reach the tags' plane).
+    pub(crate) fn read_zone(&self) -> ([f64; 2], f64) {
+        let (range, z) = (self.obs.sensing.max_range, self.obs.z_offset);
+        let radius = (range * range - z * z).max(0.0).sqrt();
+        ([self.reader[0], self.reader[1]], radius)
+    }
+
     #[inline]
     fn p_read(&self, p: &[f64; 2]) -> f64 {
         let dx = p[0] - self.reader[0];

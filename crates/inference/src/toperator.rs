@@ -54,9 +54,9 @@ impl RfidTOperator {
     fn tuple_for(&self, ts: u64, id: u32) -> Tuple {
         let cloud = self.filter.cloud(id);
         let nd = cloud.to_samples();
-        let loc = Updf::MvSamples(nd.clone()).compact(&self.policy);
         let loc_x = Updf::Samples(nd.marginal(0)).compact(&self.policy);
         let loc_y = Updf::Samples(nd.marginal(1)).compact(&self.policy);
+        let loc = Updf::MvSamples(nd).compact(&self.policy);
         Tuple::new(
             self.schema.clone(),
             vec![

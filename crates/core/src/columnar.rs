@@ -189,18 +189,6 @@ impl Column {
         }
     }
 
-    /// Materialize row `i` as the exact `Value` it decomposed from.
-    pub fn value_at(&self, i: usize) -> Value {
-        match self {
-            Column::Int(v) => Value::Int(v[i]),
-            Column::Float(v) => Value::Float(v[i]),
-            Column::Time(v) => Value::Time(v[i]),
-            Column::Str { codes, dict } => Value::Str(dict[codes[i] as usize].clone()),
-            Column::Gaussian { mean, sd } => gaussian_value(mean[i], sd[i]),
-            Column::Rows(v) => v[i].clone(),
-        }
-    }
-
     /// Consume the column into its exact row values.
     pub fn into_values(self) -> Vec<Value> {
         match self {
@@ -506,18 +494,6 @@ impl Columns {
         out
     }
 
-    /// Materialize row `i` as a standalone tuple (clone).
-    pub fn row_at(&self, i: usize) -> Tuple {
-        let values: Vec<Value> = self.cols.iter().map(|c| c.value_at(i)).collect();
-        Tuple::derived(
-            self.schema.clone(),
-            values,
-            self.ts[i],
-            self.existence[i],
-            self.lineage[i].clone(),
-        )
-    }
-
     /// Moving append of another batch over the same schema `Arc`.
     pub fn append(&mut self, other: Columns) {
         assert!(
@@ -555,12 +531,6 @@ impl Columns {
         retain_by_mask(&mut self.ts, keep);
         retain_by_mask(&mut self.existence, keep);
         retain_by_mask(&mut self.lineage, keep);
-    }
-
-    /// Widen the batch with one derived column under its new schema
-    /// (column-at-a-time projection output).
-    pub fn add_column(&mut self, schema: Arc<Schema>, col: Column) {
-        self.add_columns(schema, vec![col]);
     }
 
     /// Widen the batch with several derived columns at once under the

@@ -17,9 +17,11 @@ use ustream_telemetry::Counter;
 /// lock taken: every field is a relaxed atomic cell cheap enough to
 /// leave enabled on the hot path.
 ///
-/// `columnar_batches` vs `row_batches` is the fast-path hit rate: how
-/// often an operator received column input (vectorized kernels) versus
-/// row input.
+/// `columnar_batches` vs `row_batches` is the input hit rate: how
+/// often an operator received column input versus row input. It says
+/// nothing about how a stateful operator *emitted*: a windowed
+/// aggregate fed only columnar batches can still emit every window
+/// through its row path, which `row_windows` counts.
 #[derive(Debug, Clone, Default)]
 pub struct OpTelemetry {
     pub tuples_in: Counter,
@@ -32,6 +34,10 @@ pub struct OpTelemetry {
     pub columnar_batches: Counter,
     /// Batches that arrived as rows.
     pub row_batches: Counter,
+    /// Windows a windowed aggregate emitted through its row path
+    /// (0 for every other operator), recorded by the operator itself
+    /// through [`crate::ops::Operator::attach_telemetry`].
+    pub row_windows: Counter,
 }
 
 impl OpTelemetry {

@@ -22,10 +22,30 @@
 //! Poisson–binomial distribution (DP). MAX/MIN use order statistics.
 //! Tuples whose lineage reveals shared ancestry are handled by the
 //! lineage-aware path (see `source of truth` note on [`AggFunc::Sum`]).
+//!
+//! **Columnar and row emit.** A tumbling window fed columnar batches
+//! buffers them as columns and emits through a vectorized SUM/AVG path,
+//! bit-identical to the row emit. A window takes the row path when:
+//!
+//! - the configuration has no columnar kernel: a closure group key, a
+//!   HAVING clause, COUNT/MAX/MIN, `MaClt`, lineage provenance columns,
+//!   count or sliding windows;
+//! - its payload column is not all parametric Gaussians;
+//! - a row batch, or a columnar batch over a different schema `Arc`,
+//!   arrived while it was open. The fallback lasts that one window: the
+//!   next columnar batch over the schema of the open row window moves
+//!   its tuples back into the column buffer.
+//!
+//! Every window emitted through the row path is counted in
+//! [`crate::OpTelemetry::row_windows`] (exported as
+//! `engine_op_row_windows_total` and in EXPLAIN ANALYZE), so a
+//! workload whose batches all arrive columnar can still be seen missing
+//! the columnar emit.
 
 use crate::batch::Batch;
 use crate::columnar::{Column, Columns};
 use crate::lineage::Lineage;
+use crate::metrics::OpTelemetry;
 use crate::ops::Operator;
 use crate::schema::{DataType, Schema};
 use crate::tuple::Tuple;
@@ -41,6 +61,7 @@ use ustream_prob::convolve::{clt_sum, exact_sum};
 use ustream_prob::dist::{Dist, Gaussian};
 use ustream_prob::histogram::{histogram_sum, HistogramPdf};
 use ustream_prob::order_stats::OrderStatDist;
+use ustream_telemetry::Counter;
 
 /// Aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,13 +158,17 @@ pub struct WindowedAggregate {
     key_field: Option<String>,
     specs: Vec<AggSpec>,
     having: Option<Having>,
-    policy: ConversionPolicy,
     out_schema: Arc<Schema>,
     /// Columnar tumbling-window buffer: `(window_start, columns)`.
     /// Invariant: when this is non-empty the row window buffer is empty,
     /// and vice versa — [`Self::hydrate_col_window`] restores the row
-    /// form before any row-path processing touches the window.
+    /// form before any row-path processing touches the window, and
+    /// [`Self::columnarize_row_window`] moves it back.
     col_buf: Option<(u64, Columns)>,
+    /// Windows emitted through the row path ([`Self::emit_window`]);
+    /// shares the executor's [`OpTelemetry::row_windows`] cell once
+    /// attached.
+    row_windows: Counter,
     /// Deterministic rng for the sampling strategies.
     rng: StdRng,
 }
@@ -187,9 +212,9 @@ impl WindowedAggregate {
             key_field: None,
             specs,
             having: None,
-            policy: ConversionPolicy::FitGaussian,
             out_schema,
             col_buf: None,
+            row_windows: Counter::new(),
             rng: StdRng::seed_from_u64(0xA66),
         }
     }
@@ -229,17 +254,13 @@ impl WindowedAggregate {
         self
     }
 
-    pub fn with_policy(mut self, policy: ConversionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
     }
 
     fn emit_window(&mut self, start: u64, end: u64, tuples: Vec<Tuple>) -> Vec<Tuple> {
+        self.row_windows.inc();
         // Group tuples. Group cardinality per window is usually small
         // (the query's GROUP BY domain), where a linear scan over the
         // group list beats a tree map per member; past a small threshold
@@ -293,7 +314,13 @@ impl WindowedAggregate {
             let mut having_probs: Vec<(String, f64)> = Vec::new();
 
             for spec in &self.specs {
-                let dist = compute_aggregate(spec, &members, &self.policy, &mut self.rng);
+                // Sample payloads are summed through their Gaussian fit.
+                let dist = compute_aggregate(
+                    spec,
+                    &members,
+                    &ConversionPolicy::FitGaussian,
+                    &mut self.rng,
+                );
                 let Some(dist) = dist else {
                     continue 'group; // unusable group (e.g. no valid inputs)
                 };
@@ -492,6 +519,28 @@ impl WindowedAggregate {
             let closed = w.push(t);
             debug_assert!(closed.is_empty(), "replay must not close windows");
         }
+    }
+
+    /// The inverse of [`Self::hydrate_col_window`]: when the open row
+    /// window holds only tuples over `schema`'s `Arc`, move them into
+    /// the column buffer, so a row batch costs the columnar path at most
+    /// the window it lands in. The row window's start is the buffer's
+    /// start (its first tuple opened it, later ones folded in), so the
+    /// state is the same window in the other layout. Returns whether the
+    /// row window is now empty.
+    fn columnarize_row_window(&mut self, schema: &Arc<Schema>) -> bool {
+        let WindowState::Tumbling(w) = &mut self.window else {
+            return false;
+        };
+        if w.pending().iter().any(|t| !Arc::ptr_eq(t.schema(), schema)) {
+            return false;
+        }
+        if let Some(open) = w.flush() {
+            debug_assert!(self.col_buf.is_none(), "one layout holds the window");
+            let cols = Columns::from_rows(open.tuples).expect("one schema Arc");
+            self.col_buf = Some((open.start, cols));
+        }
+        true
     }
 
     /// Advance the sliding-window state by one tuple, appending every
@@ -872,6 +921,10 @@ impl Operator for WindowedAggregate {
         }
     }
 
+    fn attach_telemetry(&mut self, telemetry: &OpTelemetry) {
+        self.row_windows = telemetry.row_windows.clone();
+    }
+
     fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
         self.hydrate_col_window();
         match &mut self.window {
@@ -908,28 +961,27 @@ impl Operator for WindowedAggregate {
     /// windows take the same bulk shape: one shared pending list across
     /// the batch instead of a per-tuple output `Vec` per member.
     fn process_batch(&mut self, _port: usize, mut batch: Batch) -> Batch {
-        if batch.is_columnar() {
+        if let (WindowState::Tumbling(w), Some(cols)) = (&self.window, batch.columns()) {
             // Columnar fast path: tumbling windows buffer columns as-is
             // (no per-tuple hydration), provided the row window is empty
-            // and the batch extends the buffered schema run.
-            if let WindowState::Tumbling(w) = &self.window {
-                let schema_ok = match (&self.col_buf, batch.columns()) {
-                    (Some((_, buf)), Some(c)) => Arc::ptr_eq(buf.schema(), c.schema()),
-                    _ => true,
-                };
-                if w.pending_len() == 0 && schema_ok {
-                    let len_ms = w.len_ms();
-                    let cols = batch.take_columns().expect("columnar batch");
-                    let mut out = Batch::new();
-                    let __closed = self.push_columns_tumbling(len_ms, cols);
-                    for (start, end, wcols) in __closed {
-                        out.extend(self.emit_columns(start, end, wcols));
-                    }
-                    return out;
+            // (or moves back into columns) and the batch extends the
+            // buffered schema run.
+            let len_ms = w.len_ms();
+            let schema = cols.schema().clone();
+            let schema_ok = match &self.col_buf {
+                Some((_, buf)) => Arc::ptr_eq(buf.schema(), &schema),
+                None => true,
+            };
+            if schema_ok && self.columnarize_row_window(&schema) {
+                let cols = batch.take_columns().expect("columnar batch");
+                let mut out = Batch::new();
+                for (start, end, wcols) in self.push_columns_tumbling(len_ms, cols) {
+                    out.extend(self.emit_columns(start, end, wcols));
                 }
+                return out;
             }
-            batch.hydrate();
         }
+        batch.hydrate();
         self.hydrate_col_window();
         let mut closed: Vec<(u64, u64, Vec<Tuple>)> = Vec::new();
         match &mut self.window {
@@ -1652,6 +1704,57 @@ mod tests {
         for (a, b) in expected.iter().zip(&got) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
+    }
+
+    #[test]
+    fn a_short_row_batch_costs_the_columnar_path_at_most_one_window() {
+        // A 10-tuple row batch, then 512-tuple columnar batches: first
+        // at the head of the stream, then mid-stream across a window
+        // boundary (ts 3584..3647 closes [3500, 3600)). The row window
+        // moves back into columns at the next columnar batch, so at most
+        // the window the row batch closes takes the row path.
+        let feed = mixed_existence_feed(10 + 4 * 512);
+        let expected = run_chunked(keyed(Strategy::Clt), &feed, false);
+        for (row_at, row_windows) in [(0, 0), (512, 1)] {
+            let telemetry = OpTelemetry::default();
+            let mut a = keyed(Strategy::Clt);
+            a.attach_telemetry(&telemetry);
+            let mut got = Vec::new();
+            let mut at = 0;
+            while at < feed.len() {
+                let len = if at == row_at { 10 } else { 512 };
+                let end = (at + len).min(feed.len());
+                let mut b = Batch::from(feed[at..end].to_vec());
+                if at != row_at {
+                    assert!(b.columnarize());
+                }
+                got.extend(a.process_batch(0, b));
+                at = end;
+            }
+            got.extend(a.flush());
+            assert_eq!(
+                telemetry.row_windows.get(),
+                row_windows,
+                "row batch at {row_at}"
+            );
+            assert_eq!(expected.len(), got.len());
+            for (a, b) in expected.iter().zip(&got) {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
+        // The all-row reference emits every window through the row path.
+        let telemetry = OpTelemetry::default();
+        let mut a = keyed(Strategy::Clt);
+        a.attach_telemetry(&telemetry);
+        for chunk in feed.chunks(512) {
+            a.process_batch(0, Batch::from(chunk.to_vec()));
+        }
+        a.flush();
+        let windows = expected
+            .iter()
+            .map(|t| t.ts)
+            .collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(telemetry.row_windows.get(), windows.len() as u64);
     }
 
     #[test]

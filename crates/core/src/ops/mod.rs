@@ -11,6 +11,7 @@ pub mod project;
 pub mod select;
 
 use crate::batch::Batch;
+use crate::metrics::OpTelemetry;
 use crate::tuple::Tuple;
 use crate::value::GroupKey;
 
@@ -113,6 +114,14 @@ pub trait Operator: Send {
     fn partition_key_field(&self, port: usize) -> Option<&str> {
         let _ = port;
         None
+    }
+
+    /// The batched executors hand every operator its node's counters
+    /// once, before any input, so it can record what only the operator
+    /// sees (the aggregate counts the windows it emits through its row
+    /// path into [`OpTelemetry::row_windows`]). The default keeps none.
+    fn attach_telemetry(&mut self, telemetry: &OpTelemetry) {
+        let _ = telemetry;
     }
 }
 

@@ -352,7 +352,7 @@ impl QueryGraph {
         let feed = self.ordered_feed(inputs)?;
         let mut collected = plan.empty_collection();
         let mut pending: Vec<Vec<(usize, Batch)>> = vec![Vec::new(); self.nodes.len()];
-        let telem = fresh_telemetry(self.nodes.len());
+        let telem = fresh_telemetry(&mut self.nodes);
 
         for (node, port, batch) in chunk_feed(feed, batch_size) {
             pump_batch(
@@ -409,14 +409,14 @@ impl QueryGraph {
     pub fn into_session(self) -> Result<ExecSession> {
         let plan = self.compile()?;
         let QueryGraph {
-            nodes,
+            mut nodes,
             edges: _,
             sources,
             sinks: _,
         } = self;
         let pending = vec![Vec::new(); nodes.len()];
         let collected = plan.empty_collection();
-        let telem = fresh_telemetry(nodes.len());
+        let telem = fresh_telemetry(&mut nodes);
         Ok(ExecSession {
             nodes,
             plan,
@@ -429,11 +429,18 @@ impl QueryGraph {
     }
 }
 
-/// One independent [`OpTelemetry`] per node. `vec![default; n]` would
-/// clone one handle — every node sharing the same atomic cells — so the
-/// cells are allocated per slot.
-fn fresh_telemetry(n: usize) -> Vec<OpTelemetry> {
-    (0..n).map(|_| OpTelemetry::default()).collect()
+/// One independent [`OpTelemetry`] per node, attached to its operator.
+/// `vec![default; n]` would clone one handle — every node sharing the
+/// same atomic cells — so the cells are allocated per slot.
+fn fresh_telemetry(nodes: &mut [Box<dyn Operator>]) -> Vec<OpTelemetry> {
+    nodes
+        .iter_mut()
+        .map(|node| {
+            let t = OpTelemetry::default();
+            node.attach_telemetry(&t);
+            t
+        })
+        .collect()
 }
 
 /// Merge named input streams into one timestamp-ordered feed of
@@ -655,11 +662,6 @@ impl ExecSession {
             port,
             batch,
         );
-    }
-
-    /// The plan's registered sinks, in registration order.
-    pub fn sink_nodes(&self) -> &[NodeId] {
-        self.plan.sinks()
     }
 
     /// Event time reached `watermark` (no future input with

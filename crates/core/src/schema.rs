@@ -4,7 +4,7 @@ use crate::error::{EngineError, Result};
 use std::sync::Arc;
 
 /// Declared attribute type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Bool,
     Int,
@@ -18,7 +18,7 @@ pub enum DataType {
 }
 
 /// One schema field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     pub name: String,
     pub dtype: DataType,
@@ -35,7 +35,7 @@ impl Field {
 
 /// An ordered, name-indexed set of fields. Schemas are immutable and
 /// shared (`Arc`) across every tuple of a stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     fields: Vec<Field>,
 }

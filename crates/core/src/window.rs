@@ -106,6 +106,11 @@ impl TumblingWindow {
         self.buf.len()
     }
 
+    /// The open window's tuples, in arrival order.
+    pub fn pending(&self) -> &[Tuple] {
+        &self.buf
+    }
+
     pub fn len_ms(&self) -> u64 {
         self.len_ms
     }

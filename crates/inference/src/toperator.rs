@@ -6,8 +6,12 @@
 //! `loc` is the 2-D location distribution (multivariate Gaussian after
 //! §4.3 conversion), `loc_x`/`loc_y` are scalar marginals converted under
 //! the configured policy (so a recently-moved object's bimodal cloud
-//! becomes an AIC/BIC-selected mixture).
+//! becomes an AIC/BIC-selected mixture). Under
+//! [`ConversionPolicy::FitGaussian`] all three come from one weighted
+//! mean and covariance computed straight from the cloud (two passes, no
+//! sample copies); `loc_x`/`loc_y` are its diagonal.
 
+use crate::cloud::ParticleCloud;
 use crate::factored_pf::{FactoredConfig, FactoredFilter};
 use rfid_sim::{Scan, TagRef};
 use std::sync::Arc;
@@ -16,6 +20,7 @@ use ustream_core::toperator::TransformOperator;
 use ustream_core::tuple::Tuple;
 use ustream_core::updf::{ConversionPolicy, Updf};
 use ustream_core::value::Value;
+use ustream_prob::dist::{Dist, Gaussian, MvGaussian};
 
 /// The RFID T operator.
 pub struct RfidTOperator {
@@ -53,10 +58,15 @@ impl RfidTOperator {
 
     fn tuple_for(&self, ts: u64, id: u32) -> Tuple {
         let cloud = self.filter.cloud(id);
-        let nd = cloud.to_samples();
-        let loc_x = Updf::Samples(nd.marginal(0)).compact(&self.policy);
-        let loc_y = Updf::Samples(nd.marginal(1)).compact(&self.policy);
-        let loc = Updf::MvSamples(nd).compact(&self.policy);
+        let (loc, loc_x, loc_y) = match self.policy {
+            ConversionPolicy::FitGaussian => fit_gaussian(cloud),
+            _ => {
+                let nd = cloud.to_samples();
+                let loc_x = Updf::Samples(nd.marginal(0)).compact(&self.policy);
+                let loc_y = Updf::Samples(nd.marginal(1)).compact(&self.policy);
+                (Updf::MvSamples(nd).compact(&self.policy), loc_x, loc_y)
+            }
+        };
         Tuple::new(
             self.schema.clone(),
             vec![
@@ -69,6 +79,43 @@ impl RfidTOperator {
             ts,
         )
     }
+}
+
+/// `(loc, loc_x, loc_y)` under [`ConversionPolicy::FitGaussian`], from
+/// the cloud itself: the KL-optimal Gaussian fits (§4.3) are the
+/// weighted mean and covariance. `loc` repeats the sample path's
+/// `fit_mv_gaussian` operation for operation (same weight
+/// normalisation, both off-diagonal products, the `1e-12` diagonal
+/// floor), so it is bit-identical; the marginals take the unfloored
+/// diagonal, as `fit_gaussian` does, and differ from the sample path
+/// only by its second weight normalisation (≤ 1e-12 relative).
+fn fit_gaussian(cloud: &ParticleCloud) -> (Updf, Updf, Updf) {
+    let (xs, ws) = (cloud.particles(), cloud.weights());
+    let total: f64 = ws.iter().sum();
+    let mut mean = [0.0f64; 2];
+    for (p, w) in xs.iter().zip(ws) {
+        let w = w / total;
+        mean[0] += w * p[0];
+        mean[1] += w * p[1];
+    }
+    let [mut sxx, mut sxy, mut syx, mut syy] = [0.0f64; 4];
+    for (p, w) in xs.iter().zip(ws) {
+        let w = w / total;
+        let (dx, dy) = (p[0] - mean[0], p[1] - mean[1]);
+        sxx += w * dx * dx;
+        sxy += w * dx * dy;
+        syx += w * dy * dx;
+        syy += w * dy * dy;
+    }
+    let marginal = |m: f64, var: f64| {
+        Updf::Parametric(Dist::Gaussian(Gaussian::from_mean_var(m, var.max(1e-18))))
+    };
+    let loc = MvGaussian::new(mean.to_vec(), vec![sxx + 1e-12, sxy, syx, syy + 1e-12]);
+    (
+        Updf::Mv(loc),
+        marginal(mean[0], sxx),
+        marginal(mean[1], syy),
+    )
 }
 
 impl TransformOperator for RfidTOperator {
@@ -172,6 +219,43 @@ mod tests {
         }
         assert!(total > 50, "T operator emitted {total} tuples");
         assert_eq!(t_op.emitted as usize, total);
+    }
+
+    #[test]
+    fn direct_gaussian_fit_matches_the_sample_path() {
+        // Marginals within 1e-12 relative, `loc` exactly.
+        let close = |a: f64, b: f64, what: &str| {
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs().max(1e-300),
+                "{what}: direct {a:e} vs sample path {b:e}"
+            );
+        };
+        let (mut gen, mut t_op) = setup(ConversionPolicy::FitGaussian);
+        let mut checked = 0usize;
+        for _ in 0..100 {
+            for tuple in t_op.ingest(gen.next_scan()) {
+                let id = tuple.int("tag_id").unwrap() as u32;
+                let nd = t_op.filter().cloud(id).to_samples();
+                let policy = ConversionPolicy::FitGaussian;
+                for (axis, field) in [(0, "loc_x"), (1, "loc_y")] {
+                    let want = Updf::Samples(nd.marginal(axis)).compact(&policy);
+                    let got = tuple.updf(field).unwrap();
+                    close(got.mean(), want.mean(), field);
+                    close(got.variance(), want.variance(), field);
+                }
+                let (Updf::Mv(got), Updf::Mv(want)) = (
+                    tuple.updf("loc").unwrap(),
+                    Updf::MvSamples(nd).compact(&policy),
+                ) else {
+                    panic!("FitGaussian emits a multivariate Gaussian `loc`");
+                };
+                // `loc` is what Q2's `loc_equals` reads: bit for bit.
+                assert_eq!(got.mean(), want.mean(), "loc mean");
+                assert_eq!(got.cov(), want.cov(), "loc cov");
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "only {checked} tuples compared");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! routing counts and skew, exchange forward totals, pool depths,
 //! watermark-lag quantiles (per stage and merged across stages), and
 //! per-operator tuple/batch/busy counters with the columnar-vs-row
-//! split. Assembly is read-only — it snapshots the same atomic cells
+//! input split and the windows an aggregate emitted through its row
+//! path. Assembly is read-only — it snapshots the same atomic cells
 //! the engine bumps, so an EXPLAIN ANALYZE never perturbs the run.
 //!
 //! The report is plain data (everything `pub`, `PartialEq`) so it can
@@ -33,6 +34,9 @@ pub struct OpReport {
     pub busy_ns: u64,
     pub columnar_batches: u64,
     pub row_batches: u64,
+    /// Windows emitted through the aggregate's row path (0 for other
+    /// operators).
+    pub row_windows: u64,
 }
 
 impl OpReport {
@@ -122,6 +126,7 @@ impl PlanReport {
                         busy_ns: e.telem.busy_ns.get(),
                         columnar_batches: e.telem.columnar_batches.get(),
                         row_batches: e.telem.row_batches.get(),
+                        row_windows: e.telem.row_windows.get(),
                     })
                     .collect();
                 StageReport {
@@ -193,7 +198,7 @@ impl PlanReport {
                 let _ = writeln!(
                     out,
                     "analyze:   {}#{} shard {}: {} in / {} out over {} batches \
-                     ({} columnar / {} row), busy {}ns",
+                     ({} columnar / {} row), {} row windows, busy {}ns",
                     op.op,
                     op.node,
                     op.shard,
@@ -202,6 +207,7 @@ impl PlanReport {
                     op.batches,
                     op.columnar_batches,
                     op.row_batches,
+                    op.row_windows,
                     op.busy_ns
                 );
             }

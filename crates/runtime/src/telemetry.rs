@@ -290,6 +290,7 @@ impl SessionTelemetry {
                 &e.telem.columnar_batches,
             );
             registry.adopt_counter("engine_op_row_batches_total", &labels, &e.telem.row_batches);
+            registry.adopt_counter("engine_op_row_windows_total", &labels, &e.telem.row_windows);
         }
     }
 

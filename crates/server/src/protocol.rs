@@ -468,6 +468,7 @@ fn put_plan_report(out: &mut Vec<u8>, r: &PlanReport) {
                 op.busy_ns,
                 op.columnar_batches,
                 op.row_batches,
+                op.row_windows,
             ] {
                 out.extend_from_slice(&v.to_be_bytes());
             }
@@ -518,9 +519,9 @@ fn read_plan_report(rd: &mut Reader<'_>) -> WireResult<PlanReport> {
         let lag = read_sketch(rd)?;
         let skew = rd.f64()?;
         let n_ops = rd.u32()? as usize;
-        // Each op is at least 64 bytes (empty name + ids + 6 counters).
+        // Each op is at least 72 bytes (empty name + ids + 7 counters).
         let op_floor = n_ops
-            .checked_mul(64)
+            .checked_mul(72)
             .ok_or(WireError::InvalidPayload("length overflow"))?;
         if op_floor > rd.remaining() {
             return Err(WireError::Truncated {
@@ -541,6 +542,7 @@ fn read_plan_report(rd: &mut Reader<'_>) -> WireResult<PlanReport> {
                 busy_ns: rd.u64()?,
                 columnar_batches: rd.u64()?,
                 row_batches: rd.u64()?,
+                row_windows: rd.u64()?,
             });
         }
         stages.push(StageReport {
@@ -1157,6 +1159,7 @@ mod tests {
                         busy_ns: 98_765,
                         columnar_batches: 3,
                         row_batches: 1,
+                        row_windows: 2,
                     }],
                 },
                 StageReport {

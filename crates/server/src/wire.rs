@@ -22,9 +22,24 @@
 //!   version, a frame kind, and a payload length
 //!   ([`FRAME_HEADER_LEN`] bytes total); unknown versions are rejected
 //!   up front so the format can evolve.
+//! - **One schema `Arc` per stream.** The schema of every shared-schema
+//!   batch (the framing [`encode_tuples`] writes for a stream's run) is
+//!   interned against a process-wide set of canonical `Arc`s, so
+//!   value-equal schemas from different frames, connections and
+//!   publishers decode to the *same* `Arc`. The engine's caches key on `Arc::ptr_eq`
+//!   (select's and project's field resolution, project's output schema,
+//!   the aggregate's column buffer, [`Batch::columnarize`] across
+//!   frames), so a fresh `Arc` per frame would miss every one of them.
+//!   The set holds at most [`MAX_INTERNED_SCHEMAS`] schemas; once it is
+//!   full, a schema it does not hold keeps its own `Arc` and decodes
+//!   exactly as before, only without the shared pointer. A mixed-schema
+//!   batch keeps one fresh `Arc` per tuple, as it was encoded: interning
+//!   two value-equal schemas there would turn the batch into a
+//!   shared-schema one on re-encode and break the byte-exact roundtrip.
 
+use std::collections::HashSet;
 use std::io::{IoSlice, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use ustream_core::lineage::Lineage;
 use ustream_core::schema::{DataType, Field, Schema};
 use ustream_core::{Batch, Column, Columns, Tuple, Updf, Value};
@@ -639,6 +654,31 @@ pub fn decode_schema(r: &mut Reader<'_>) -> WireResult<Arc<Schema>> {
     Ok(Schema::new(fields))
 }
 
+/// Most distinct schemas the process-wide intern set holds. A server
+/// sees one schema per source stream and a few derived ones, so the cap
+/// only matters against a peer that invents schemas; it bounds the
+/// set's memory, never correctness.
+pub const MAX_INTERNED_SCHEMAS: usize = 256;
+
+/// [`decode_schema`] for a shared-schema batch, returning the canonical
+/// `Arc` for the schema's value: the one already interned, else the
+/// decoded one, interned while the set has room.
+fn decode_shared_schema(r: &mut Reader<'_>) -> WireResult<Arc<Schema>> {
+    let schema = decode_schema(r)?;
+    static INTERNED: OnceLock<Mutex<HashSet<Arc<Schema>>>> = OnceLock::new();
+    let set = INTERNED.get_or_init(Default::default);
+    // The set is only ever inserted into, so a poisoned lock still
+    // guards a consistent set.
+    let mut set = set.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(canonical) = set.get(schema.as_ref()) {
+        return Ok(canonical.clone());
+    }
+    if set.len() < MAX_INTERNED_SCHEMAS {
+        set.insert(schema.clone());
+    }
+    Ok(schema)
+}
+
 /// Tuple body: the per-tuple part that follows a schema (values in
 /// schema order, then ts, existence, lineage).
 fn encode_tuple_body(out: &mut Vec<u8>, t: &Tuple) {
@@ -730,7 +770,7 @@ pub fn encode_tuples(out: &mut Vec<u8>, tuples: &[Tuple]) {
 pub fn decode_tuples(r: &mut Reader<'_>) -> WireResult<Vec<Tuple>> {
     match r.u8()? {
         BATCH_SHARED_SCHEMA => {
-            let schema = decode_schema(r)?;
+            let schema = decode_shared_schema(r)?;
             let n = r.u32()? as usize;
             let mut tuples = Vec::new();
             for _ in 0..n {
@@ -890,7 +930,7 @@ fn decode_row_into(r: &mut Reader<'_>, cols: &mut Columns) -> WireResult<()> {
 pub fn decode_batch(r: &mut Reader<'_>) -> WireResult<Batch> {
     match r.u8()? {
         BATCH_SHARED_SCHEMA => {
-            let schema = decode_schema(r)?;
+            let schema = decode_shared_schema(r)?;
             let n = r.u32()? as usize;
             if n == 0 {
                 return Ok(Batch::new());

@@ -172,6 +172,147 @@ fn three_publishers_one_subscriber_match_run_batched() {
     assert!(errors.is_empty(), "clean run records no errors: {errors:?}");
 }
 
+/// Q1 from declarative parts — a linear projection and a field-keyed
+/// aggregate — so every operator has a columnar kernel to stay on.
+fn q1_columnar_graph() -> (QueryGraph, NodeId) {
+    let select =
+        Select::new(Predicate::UncertainAbove("x".into(), 2.0), 0.05).without_conditioning();
+    let project = Project::new(vec![
+        Derivation::CertainLinear {
+            input: "tag".into(),
+            a: 2.5,
+            b: 0.0,
+            out: "weight".into(),
+        },
+        Derivation::Linear {
+            input: "x".into(),
+            a: 0.5,
+            b: 1.0,
+            out: "y".into(),
+        },
+    ]);
+    let agg = WindowedAggregate::keyed_by_field(
+        WindowKind::Tumbling(100),
+        "g",
+        vec![AggSpec {
+            field: "y".into(),
+            func: AggFunc::Sum,
+            out: "total".into(),
+            strategy: Strategy::Clt,
+        }],
+    );
+    let mut g = QueryGraph::new();
+    let select = g.add(Box::new(select));
+    let project = g.add(Box::new(project));
+    let agg = g.add(Box::new(agg));
+    let sink = g.add(Box::new(Passthrough::new("sink")));
+    g.connect(select, project, 0).unwrap();
+    g.connect(project, agg, 0).unwrap();
+    g.connect(agg, sink, 0).unwrap();
+    g.source("in", select);
+    g.sink(sink);
+    (g, sink)
+}
+
+/// Serve `graph` over `frames` 512-tuple frames, frame `k` published by
+/// publisher `k % publishers` (all on source `in`), check the streamed
+/// sink byte-equal to `run_batched`, and return the aggregate's row
+/// windows as EXPLAIN ANALYZE and the registry both report them,
+/// together with the number of windows emitted.
+fn served_row_windows(
+    graph: fn() -> (QueryGraph, NodeId),
+    publishers: usize,
+    frames: usize,
+) -> (u64, usize) {
+    const FRAME: usize = 512;
+    let all_inputs = inputs(frames * FRAME);
+    let (mut ref_graph, sink) = graph();
+    let expected = ref_graph
+        .run_batched(vec![("in".into(), 0, all_inputs.clone())], FRAME)
+        .unwrap()
+        .remove(&sink)
+        .unwrap();
+
+    let handle = Server::serve("127.0.0.1:0", ServedQuery::new(graph().0)).unwrap();
+    let mut subscriber = Client::subscriber(handle.addr()).unwrap();
+    subscriber.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    let clients: Vec<Client> = (0..publishers)
+        .map(|_| Client::publisher(handle.addr()).unwrap())
+        .collect();
+    let threads: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(p, mut client)| {
+            let frames: Vec<Vec<Tuple>> = all_inputs
+                .chunks(FRAME)
+                .skip(p)
+                .step_by(publishers)
+                .map(|f| f.to_vec())
+                .collect();
+            std::thread::spawn(move || {
+                client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+                for frame in &frames {
+                    assert_eq!(client.publish("in", 0, frame).unwrap(), frame.len());
+                }
+                client.finish().unwrap();
+                client
+            })
+        })
+        .collect();
+    let collected = subscriber.collect_until_eos().unwrap();
+    let mut clients: Vec<Client> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+
+    assert_eq!(collected.len(), 1, "one sink");
+    let received = &collected[0].1;
+    assert_eq!(received.len(), expected.len());
+    for (got, want) in received.iter().zip(&expected) {
+        assert_eq!(fingerprint(got), fingerprint(want));
+    }
+
+    let report = clients[0].explain().unwrap();
+    let agg_ops: Vec<_> = report
+        .stages
+        .iter()
+        .flat_map(|s| &s.ops)
+        .filter(|o| o.op == "aggregate")
+        .collect();
+    assert_eq!(agg_ops.len(), 1, "one aggregate instance");
+    let row_windows = agg_ops[0].row_windows;
+    let (metrics, _) = clients[0].stats_v2().unwrap();
+    let exported = metrics
+        .iter()
+        .find(|m| {
+            m.family == "engine_op_row_windows_total"
+                && m.labels.iter().any(|(k, v)| k == "op" && v == "aggregate")
+        })
+        .map(|m| m.value.clone());
+    assert_eq!(exported, Some(MetricValue::Counter(row_windows)));
+    let errors = handle.shutdown();
+    assert!(errors.is_empty(), "clean run records no errors: {errors:?}");
+    let windows = expected
+        .iter()
+        .map(|t| t.ts)
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    (row_windows, windows)
+}
+
+#[test]
+fn served_q1_emits_every_window_through_the_columnar_path() {
+    // Frames decode to one interned schema `Arc`, so the caches keyed
+    // on it hold across frames and publishers, and the aggregate never
+    // falls to its row path.
+    for publishers in [1, 2] {
+        let (row_windows, windows) = served_row_windows(q1_columnar_graph, publishers, 10);
+        assert!(windows >= 50, "{windows} windows");
+        assert_eq!(row_windows, 0, "{publishers} publisher(s)");
+    }
+    // The counter is live: a closure-keyed aggregate has no columnar
+    // emit, and every one of its windows is counted.
+    let (row_windows, windows) = served_row_windows(q1_graph, 1, 10);
+    assert_eq!(row_windows, windows as u64);
+}
+
 #[test]
 fn one_connection_can_publish_and_subscribe_at_once() {
     // A single duplex connection: subscribe, then keep publishing and

@@ -205,6 +205,55 @@ impl Batch {
             None
         }
     }
+
+    /// The timestamp of tuple `i`, layout-independent. Panics when `i`
+    /// is out of range.
+    pub fn ts_at(&self, i: usize) -> u64 {
+        match self.columns() {
+            Some(c) => c.ts()[i],
+            None => self.tuples[i].ts,
+        }
+    }
+
+    /// Split off the tail starting at tuple `at`, keeping the layout
+    /// (cf. `Vec::split_off`): only the tail moves.
+    pub fn split_off(&mut self, at: usize) -> Batch {
+        match &mut self.cols {
+            Some(cols) if !cols.is_empty() => Batch::from_columns(cols.split_off(at)),
+            _ => Batch::from(self.tuples.split_off(at)),
+        }
+    }
+
+    /// Whether [`Batch::append`] accepts `other`: the layouts agree
+    /// (both rows, or both columnar over one schema `Arc`), or either
+    /// side is empty.
+    pub fn can_append(&self, other: &Batch) -> bool {
+        if self.is_empty() || other.is_empty() {
+            return true;
+        }
+        match (self.columns(), other.columns()) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine.schema(), theirs.schema()),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    /// Moving append of `other`, keeping the layout. Panics unless
+    /// [`Batch::can_append`] holds.
+    pub fn append(&mut self, mut other: Batch) {
+        assert!(self.can_append(&other), "Batch::append across layouts");
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        match self.cols.as_mut() {
+            Some(mine) => mine.append(other.take_columns().expect("checked columnar")),
+            None => self.tuples.append(&mut other.tuples),
+        }
+    }
 }
 
 /// A shared free list of tuple buffers, cutting allocator traffic where
@@ -418,6 +467,45 @@ mod tests {
         assert!(b.is_columnar(), "same-schema push stays columnar");
         let vs: Vec<i64> = b.into_vec().iter().map(|t| t.int("v").unwrap()).collect();
         assert_eq!(vs, vec![0, 1, 2, 3]);
+    }
+
+    fn values(b: Batch) -> Vec<i64> {
+        b.into_vec().iter().map(|t| t.int("v").unwrap()).collect()
+    }
+
+    #[test]
+    fn split_off_and_append_keep_layout_and_order() {
+        let s = Schema::builder().field("v", DataType::Int).build();
+        for columnar in [false, true] {
+            let mut b: Batch = (0..6).map(|i| t(&s, i)).collect();
+            if columnar {
+                b.columnarize();
+            }
+            assert_eq!(b.ts_at(4), 4);
+            let tail = b.split_off(4);
+            assert_eq!((b.is_columnar(), tail.is_columnar()), (columnar, columnar));
+            assert_eq!(tail.ts_at(0), 4);
+            let mut head = b.clone();
+            head.append(tail);
+            assert_eq!(head.is_columnar(), columnar);
+            assert_eq!(values(head), vec![0, 1, 2, 3, 4, 5]);
+            b.append(Batch::new());
+            assert_eq!(b.len(), 4);
+        }
+        // Layouts that disagree do not append.
+        let rows: Batch = (0..2).map(|i| t(&s, i)).collect();
+        let mut cols: Batch = (2..4).map(|i| t(&s, i)).collect();
+        cols.columnarize();
+        assert!(!rows.can_append(&cols) && !cols.can_append(&rows));
+        // Nor do columnar batches over different schema Arcs.
+        let other = Schema::builder().field("v", DataType::Int).build();
+        let mut theirs: Batch = (4..6).map(|i| t(&other, i)).collect();
+        theirs.columnarize();
+        assert!(!cols.can_append(&theirs));
+        let mut empty = Batch::new();
+        assert!(empty.can_append(&cols));
+        empty.append(cols);
+        assert_eq!(values(empty), vec![2, 3]);
     }
 
     #[test]

@@ -741,7 +741,7 @@ impl ExecSession {
 /// Minimum chunk length worth columnarizing before injection: below this
 /// the decompose/reassemble overhead outweighs the vectorized operator
 /// fast paths. Shared policy for every driver that assembles row runs
-/// (the batched executors here, the ingest server's merge).
+/// (the batched executors here, the sharded session's router).
 pub const COLUMNAR_MIN_CHUNK: usize = 64;
 
 /// Cut a timestamp-sorted feed into runs of up to `batch_size`

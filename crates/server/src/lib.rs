@@ -36,6 +36,7 @@
 
 pub mod chaos;
 pub mod client;
+mod merge;
 pub mod protocol;
 pub mod server;
 pub mod wire;

@@ -49,9 +49,12 @@ const METRIC_GAUGE: u8 = 1;
 const METRIC_HISTOGRAM: u8 = 2;
 const METRIC_SKETCH: u8 = 3;
 
-/// What a client asks of the server.
+/// What a client asks of the server. `P` is the decoded form of a
+/// publish payload: rows for clients and tests ([`read_request`]), a
+/// columnar [`Batch`](ustream_core::Batch) on the server
+/// ([`read_request_with`] with [`wire::decode_batch`]).
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<P = Vec<Tuple>> {
     /// First frame on every connection. Publishers participate in
     /// end-of-stream accounting; subscribers do not.
     Hello { publisher: bool },
@@ -65,7 +68,7 @@ pub enum Request {
         source: String,
         port: u16,
         seq: Option<u64>,
-        tuples: Vec<Tuple>,
+        tuples: P,
     },
     /// Turn this connection into a result stream: every sink batch the
     /// engine produces from now on is pushed as a [`Response::Results`]
@@ -270,8 +273,20 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> WireResult<()> {
     write_frame(w, kind, &payload)
 }
 
-/// Read and decode one request frame from `r`.
+/// Read and decode one request frame from `r`, publish payloads as
+/// rows.
 pub fn read_request<R: Read>(r: &mut R) -> WireResult<Request> {
+    read_request_with(r, wire::decode_tuples)
+}
+
+/// Read and decode one request frame from `r`, decoding a publish
+/// payload with `decode` (the server passes [`wire::decode_batch`], so a
+/// publish lands in columns straight off the socket). Everything else
+/// decodes exactly as in [`read_request`].
+pub fn read_request_with<R: Read, P>(
+    r: &mut R,
+    decode: fn(&mut Reader<'_>) -> WireResult<P>,
+) -> WireResult<Request<P>> {
     let (kind, payload) = read_frame(r)?;
     let mut rd = Reader::new(&payload);
     let req = match kind {
@@ -281,7 +296,7 @@ pub fn read_request<R: Read>(r: &mut R) -> WireResult<Request> {
         KIND_PUBLISH => {
             let source = rd.str()?;
             let port = rd.u16()?;
-            let tuples = wire::decode_tuples(&mut rd)?;
+            let tuples = decode(&mut rd)?;
             Request::Publish {
                 source,
                 port,
@@ -293,7 +308,7 @@ pub fn read_request<R: Read>(r: &mut R) -> WireResult<Request> {
             let seq = rd.u64()?;
             let source = rd.str()?;
             let port = rd.u16()?;
-            let tuples = wire::decode_tuples(&mut rd)?;
+            let tuples = decode(&mut rd)?;
             Request::Publish {
                 source,
                 port,

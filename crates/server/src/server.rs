@@ -6,17 +6,26 @@
 //!
 //! - an **accept thread** takes connections and spawns one handler per
 //!   client;
-//! - each **handler thread** reads framed requests and forwards decoded
-//!   publishes into the engine's bounded inbox — a full inbox blocks the
-//!   handler *before* it acknowledges, so backpressure reaches the
-//!   publisher as a delayed `Ack`;
+//! - each **handler thread** reads framed requests, decodes a publish
+//!   payload straight into a columnar [`Batch`] ([`wire::decode_batch`];
+//!   a mixed-schema frame stays rows), checks it against the publisher's
+//!   timestamp contract, and forwards it whole into the engine's bounded
+//!   inbox — a full inbox blocks the handler *before* it acknowledges,
+//!   so backpressure reaches the publisher as a delayed `Ack`;
 //! - one **engine thread** owns the session — a
 //!   [`ustream_runtime::session::ShardedSession`], the incremental
-//!   sharded engine. It merges the per-publisher queues into a single
-//!   timestamp-ordered feed (k-way merge gated on per-publisher
-//!   watermarks), chunks consecutive same-destination tuples into
-//!   [`Batch`]es, pushes them through the session, and streams every
-//!   newly collected sink batch to all subscribers as windows close.
+//!   sharded engine. It queues each publisher's batches and merges the
+//!   queues into a single timestamp-ordered feed by *ts-run*: from the
+//!   publisher whose front tuple is next in `(ts, connection id)` order,
+//!   the longest leading run that stays below every other publisher's
+//!   front and every idle publisher's watermark goes out at once — the
+//!   same tuple sequence a per-tuple k-way merge releases, so a lone
+//!   publisher's frames pass through unsplit and a batch is cut only
+//!   where another publisher's tuples interleave. Runs are cut (or
+//!   coalesced, per destination and schema) into pushes of at most
+//!   [`ServerConfig::batch_size`] tuples, pushed through the session
+//!   without ever becoming rows, and every newly collected sink batch
+//!   streams to all subscribers as windows close.
 //!   With [`ServedQuery::new`] the session wraps a single pipeline
 //!   (exact `ExecSession` semantics); with [`ServedQuery::sharded`] the
 //!   query's graph factory is compiled into a staged shard plan and the
@@ -33,11 +42,15 @@
 //! the advertised timestamp will be published — which advance the merge
 //! without data.
 //!
-//! **Determinism.** When every publisher ships its stream in
-//! non-decreasing timestamp order (the natural property of a live
-//! feed), the merged feed the session sees is the timestamp-sorted
-//! union of all published tuples — the same feed
-//! [`QueryGraph::run_batched`] builds — so the concatenation of every
+//! **Determinism.** Every publisher ships its stream in non-decreasing
+//! timestamp order (the natural property of a live feed); the handler
+//! enforces this, refusing with [`ErrorCode::Protocol`] — neither
+//! applied nor acked — a new publish whose timestamps decrease inside
+//! the frame or whose first timestamp is below the publisher's last
+//! published timestamp or heartbeat watermark. The merged feed the
+//! session sees is therefore the timestamp-sorted union of all
+//! published tuples — the same feed [`QueryGraph::run_batched`]
+//! builds — so the concatenation of every
 //! `Results` frame a subscriber receives equals the `run_batched`
 //! output over the merged input, values/timestamps/existence/lineage
 //! included (ties across publishers break by connection id). The
@@ -74,8 +87,9 @@
 //! shutdown breaks that wait and drops the stalled subscriber instead
 //! of hanging.
 
+use crate::merge::{self, PubState};
 use crate::protocol::{self, ErrorCode, Request, Response};
-use crate::wire::WireError;
+use crate::wire::{self, WireError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
@@ -297,13 +311,17 @@ pub enum SubscriberPolicy {
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Target tuples per [`Batch`] pushed into the session.
+    /// Most tuples per [`Batch`] pushed into the session: the merge cuts
+    /// a longer run (a large publish frame) into pushes of this size, and
+    /// coalesces consecutive short runs to the same source over one
+    /// schema up to it. Also the sharded session's batch size.
     pub batch_size: usize,
     /// Bound on in-flight engine messages (publish backpressure depth).
-    /// Each message is a whole decoded publish frame (up to a frame's
-    /// worth of row `Tuple`s), so this bounds the decoded backlog the
-    /// connection handlers can build ahead of the engine; the default
-    /// is small because deeper queues buy no throughput, only memory.
+    /// Each message is a whole decoded publish frame (one columnar
+    /// [`Batch`], or rows for a mixed-schema frame), so this bounds the
+    /// decoded backlog the connection handlers can build ahead of the
+    /// engine; the default is small because deeper queues buy no
+    /// throughput, only memory.
     pub inbox_capacity: usize,
     /// Bound on undelivered result frames per subscriber (a slow
     /// subscriber triggers [`ServerConfig::subscriber_policy`] rather
@@ -360,11 +378,13 @@ enum EngineMsg {
     Joined {
         session: u64,
     },
+    /// One publish frame, decoded (columnar unless its schemas mix) and
+    /// already checked against the publisher's ts contract.
     Publish {
         session: u64,
         node: NodeId,
         port: usize,
-        tuples: Vec<Tuple>,
+        batch: Batch,
     },
     /// The publisher is done (explicit `Finish`, or lease expiry).
     Finished {
@@ -625,6 +645,11 @@ struct SessionState {
     /// Bumped by every successful `Resume`; a connection or lease timer
     /// acts only while its captured epoch is current.
     epoch: u64,
+    /// The publisher's timestamp high-water mark: the highest ts it has
+    /// published or heartbeated. A new publish starting below it breaks
+    /// the ts-ordered stream contract and is refused. Kept here, not on
+    /// the connection, so it survives `Resume`.
+    high_water: u64,
 }
 
 /// The opaque resume credential for a session id. Injective (odd
@@ -633,16 +658,6 @@ struct SessionState {
 /// not adversaries (the codec itself is unauthenticated).
 fn session_token(session_id: u64) -> u64 {
     session_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03
-}
-
-/// Per-publisher merge state.
-#[derive(Default)]
-struct PubState {
-    queue: VecDeque<(NodeId, usize, Tuple)>,
-    /// Highest timestamp enqueued so far — the publisher's watermark: a
-    /// ts-ordered stream cannot later deliver anything older.
-    last_ts: u64,
-    finished: bool,
 }
 
 /// The server's own always-on counters, registered under `server_*`
@@ -1044,20 +1059,12 @@ impl Engine {
                     session,
                     node,
                     port,
-                    tuples,
-                } => {
-                    let p = self.pubs.entry(session).or_default();
-                    // A finished publisher's tuples would slip in behind
-                    // the watermark its Finish released; the handler
-                    // already rejects this, so reaching here means a
-                    // racing abort — drop, never corrupt the merge.
-                    if !p.finished {
-                        for t in tuples {
-                            p.last_ts = p.last_ts.max(t.ts);
-                            p.queue.push_back((node, port, t));
-                        }
-                    }
-                }
+                    batch,
+                } => self
+                    .pubs
+                    .entry(session)
+                    .or_default()
+                    .enqueue(node, port, batch),
                 EngineMsg::Finished { session } => {
                     if let Some(p) = self.pubs.get_mut(&session) {
                         p.finished = true;
@@ -1066,12 +1073,9 @@ impl Engine {
                 EngineMsg::Heartbeat { session, watermark } => {
                     // Advance the publisher's merge watermark without
                     // data: its queue can stay empty without blocking
-                    // other publishers' releases. (Same contract as a
-                    // publish at `watermark`: nothing older may follow.)
+                    // other publishers' releases.
                     if let Some(p) = self.pubs.get_mut(&session) {
-                        if !p.finished {
-                            p.last_ts = p.last_ts.max(watermark);
-                        }
+                        p.heartbeat(watermark);
                     }
                 }
                 EngineMsg::Subscribe {
@@ -1109,16 +1113,11 @@ impl Engine {
         }
     }
 
-    /// Merge the per-publisher queues up to the collective watermark,
-    /// push the merged run through the session in destination-chunked
-    /// batches, then stream any newly closed windows to subscribers.
+    /// Merge the per-publisher queues up to the collective watermark
+    /// ([`merge::release`]), push the released runs through the session
+    /// in pushes of at most `batch_size` ([`merge::chunk`]), then stream
+    /// any newly closed windows to subscribers.
     ///
-    /// An entry is safe to emit when no *unfinished* publisher with an
-    /// empty queue could still deliver a tuple that precedes it in the
-    /// canonical `(ts, connection id)` order — a strictly older
-    /// timestamp (watermark below the entry's ts), or an equal one from
-    /// a lower-id connection (its next tuple could tie and ties break by
-    /// id).
     /// `Err` carries the panic message when an operator panicked on the
     /// pushed input — the session is then poisoned and the caller must
     /// [`Engine::fail`].
@@ -1131,61 +1130,11 @@ impl Engine {
             // panics (on the engine thread and on its pool workers) and
             // reports them as typed errors — the query dies with Eos'd
             // subscribers, the serving threads never unwind.
-            let push = |session: &mut ShardedSession,
-                        n: NodeId,
-                        p: usize,
-                        mut b: Batch|
-             -> Result<(), String> {
-                // Long same-destination runs go columnar so the sharded
-                // session routes by key column and operators hit their
-                // vectorized paths; short runs stay rows.
-                if b.len() >= ustream_core::query::COLUMNAR_MIN_CHUNK {
-                    b.columnarize();
-                }
-                session.push_batch(n, p, b).map_err(|e| e.to_string())
-            };
-            let mut cur: Option<(NodeId, usize, Batch)> = None;
-            loop {
-                let mut best: Option<(u64, u64)> = None; // (ts, client)
-                for (&id, p) in &self.pubs {
-                    if let Some((_, _, t)) = p.queue.front() {
-                        let key = (t.ts, id);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                }
-                let Some((ts, pid)) = best else { break };
-                let blocked = self.pubs.iter().any(|(&id, p)| {
-                    id != pid
-                        && !p.finished
-                        && p.queue.is_empty()
-                        && (p.last_ts < ts || (p.last_ts == ts && id < pid))
-                });
-                if blocked {
-                    break;
-                }
-                let (node, port, tuple) = self
-                    .pubs
-                    .get_mut(&pid)
-                    .expect("candidate publisher exists")
-                    .queue
-                    .pop_front()
-                    .expect("candidate queue non-empty");
-                match &mut cur {
-                    Some((n, p, b)) if *n == node && *p == port && b.len() < self.batch_size => {
-                        b.push(tuple)
-                    }
-                    slot => {
-                        if let Some((n, p, b)) = slot.take() {
-                            push(session, n, p, b)?;
-                        }
-                        *slot = Some((node, port, Batch::one(tuple)));
-                    }
-                }
-            }
-            if let Some((n, p, b)) = cur {
-                push(session, n, p, b)?;
+            for (node, port, batch) in merge::chunk(merge::release(&mut self.pubs), self.batch_size)
+            {
+                session
+                    .push_batch(node, port, batch)
+                    .map_err(|e| e.to_string())?;
             }
             // The collective publisher watermark: every unfinished
             // publisher has promised (via data or heartbeats) nothing
@@ -1271,12 +1220,10 @@ impl Engine {
                     self.replay_frames_for(&queue, client, from);
                     queue.push_eos();
                 }
-                EngineMsg::Publish {
-                    session, tuples, ..
-                } if !tuples.is_empty() => {
+                EngineMsg::Publish { session, batch, .. } if !batch.is_empty() => {
                     self.shared.record(ServerError::PublishDroppedAtEos {
                         client_id: session,
-                        count: tuples.len(),
+                        count: batch.len(),
                     });
                 }
                 EngineMsg::Shutdown => return,
@@ -1516,7 +1463,7 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
     let mut session: Option<Arc<SessionEntry>> = None;
     let mut my_epoch = 0u64;
     loop {
-        let req = match protocol::read_request(&mut stream) {
+        let req = match protocol::read_request_with(&mut stream, wire::decode_batch) {
             Ok(req) => req,
             Err(WireError::Disconnected) | Err(WireError::Io(_)) => {
                 let why =
@@ -1659,7 +1606,7 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
                 source,
                 port,
                 seq,
-                tuples,
+                tuples: batch,
             } => match shared.sources.get(&source) {
                 _ if shared.finished.load(Ordering::SeqCst) => Response::Error {
                     code: ErrorCode::Finished,
@@ -1699,64 +1646,52 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
                         session = Some(register_session(&shared, client_id));
                         my_epoch = 0;
                     }
-                    let count = tuples.len() as u32;
-                    let sid = session.as_ref().map(|e| e.session_id).unwrap_or(client_id);
-                    match (&session, seq) {
-                        (Some(entry), Some(seq)) => {
-                            // Exactly-once: the state lock is held across
-                            // the engine send, so a duplicate of this
-                            // sequence racing in from a usurped
-                            // connection observes the bumped `next_seq`
-                            // only after this send is ordered — each
-                            // sequence is applied to the merge once, in
-                            // order, no matter how many connections
-                            // replay it.
-                            let mut st = entry.state.lock().expect("session state poisoned");
-                            if st.lifecycle == Lifecycle::Finished {
-                                Response::Error {
-                                    code: ErrorCode::Protocol,
-                                    message: "session already finished publishing".into(),
-                                }
-                            } else if seq < st.next_seq {
-                                // Replay of an already-applied batch:
-                                // re-ack, never re-apply.
-                                shared.m.replay_publishes.inc();
-                                Response::Ack { count }
-                            } else if seq > st.next_seq {
-                                Response::Error {
-                                    code: ErrorCode::Protocol,
-                                    message: format!(
-                                        "publish sequence gap: got {seq}, expected {}",
-                                        st.next_seq
-                                    ),
-                                }
-                            } else {
-                                match shared.engine_tx.send(EngineMsg::Publish {
-                                    session: sid,
-                                    node,
-                                    port: port as usize,
-                                    tuples,
-                                }) {
-                                    Ok(()) => {
-                                        st.next_seq += 1;
-                                        shared.m.publish_frames.inc();
-                                        shared.m.publish_tuples.add(count as u64);
-                                        Response::Ack { count }
-                                    }
-                                    Err(_) => Response::Error {
-                                        code: ErrorCode::Finished,
-                                        message: "query already finished; publish rejected".into(),
-                                    },
-                                }
-                            }
+                    let count = batch.len() as u32;
+                    let entry = session.as_ref().expect("a publisher owns a session");
+                    // Exactly-once: the state lock is held across the
+                    // engine send, so a duplicate of this sequence racing
+                    // in from a usurped connection observes the bumped
+                    // `next_seq` only after this send is ordered — each
+                    // sequence is applied to the merge once, in order, no
+                    // matter how many connections replay it. (Unsequenced
+                    // legacy publishes bypass the dedup.)
+                    let mut st = entry.state.lock().expect("session state poisoned");
+                    if st.lifecycle == Lifecycle::Finished {
+                        Response::Error {
+                            code: ErrorCode::Protocol,
+                            message: "session already finished publishing".into(),
                         }
-                        _ => match shared.engine_tx.send(EngineMsg::Publish {
-                            session: sid,
+                    } else if seq.is_some_and(|seq| seq < st.next_seq) {
+                        // Replay of an already-applied batch: re-ack,
+                        // never re-apply (and never re-check).
+                        shared.m.replay_publishes.inc();
+                        Response::Ack { count }
+                    } else if let Some(seq) = seq.filter(|&seq| seq > st.next_seq) {
+                        Response::Error {
+                            code: ErrorCode::Protocol,
+                            message: format!(
+                                "publish sequence gap: got {seq}, expected {}",
+                                st.next_seq
+                            ),
+                        }
+                    } else if let Some(message) = ts_contract_violation(&batch, st.high_water) {
+                        Response::Error {
+                            code: ErrorCode::Protocol,
+                            message,
+                        }
+                    } else {
+                        let max_ts = batch.max_ts();
+                        match shared.engine_tx.send(EngineMsg::Publish {
+                            session: entry.session_id,
                             node,
                             port: port as usize,
-                            tuples,
+                            batch,
                         }) {
                             Ok(()) => {
+                                if seq.is_some() {
+                                    st.next_seq += 1;
+                                }
+                                st.high_water = st.high_water.max(max_ts.unwrap_or(0));
                                 shared.m.publish_frames.inc();
                                 shared.m.publish_tuples.add(count as u64);
                                 Response::Ack { count }
@@ -1765,7 +1700,7 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
                                 code: ErrorCode::Finished,
                                 message: "query already finished; publish rejected".into(),
                             },
-                        },
+                        }
                     }
                 }
             },
@@ -1832,6 +1767,10 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
                     }
                 } else {
                     let sid = session.as_ref().map(|e| e.session_id).unwrap_or(client_id);
+                    if let Some(entry) = &session {
+                        let mut st = entry.state.lock().expect("session state poisoned");
+                        st.high_water = st.high_water.max(watermark);
+                    }
                     let _ = shared.engine_tx.send(EngineMsg::Heartbeat {
                         session: sid,
                         watermark,
@@ -1873,6 +1812,33 @@ fn handle_client(mut stream: TcpStream, client_id: u64, shared: Arc<Shared>) {
     }
 }
 
+/// Why `batch` breaks its publisher's ts-ordered stream contract, if it
+/// does: its timestamps decrease inside the frame, or its first one is
+/// below `high_water` (the publisher's last published ts or heartbeat
+/// watermark). Equal timestamps are fine.
+fn ts_contract_violation(batch: &Batch, high_water: u64) -> Option<String> {
+    if batch.is_empty() {
+        return None;
+    }
+    let first = batch.ts_at(0);
+    if first < high_water {
+        return Some(format!(
+            "publish starts at ts {first}, below this publisher's high-water mark {high_water} \
+             (its last published ts or heartbeat watermark)"
+        ));
+    }
+    let drop_at = match batch.columns() {
+        Some(cols) => cols.ts().windows(2).position(|w| w[1] < w[0]),
+        None => batch.as_slice().windows(2).position(|w| w[1].ts < w[0].ts),
+    }?;
+    Some(format!(
+        "publish ts decreases inside the frame: ts {} follows ts {} at row {}",
+        batch.ts_at(drop_at + 1),
+        batch.ts_at(drop_at),
+        drop_at + 1
+    ))
+}
+
 /// Create and index the resumable session for a newly declared
 /// publisher connection.
 fn register_session(shared: &Arc<Shared>, client_id: u64) -> Arc<SessionEntry> {
@@ -1884,6 +1850,7 @@ fn register_session(shared: &Arc<Shared>, client_id: u64) -> Arc<SessionEntry> {
             next_seq: 1,
             lifecycle: Lifecycle::Active,
             epoch: 0,
+            high_water: 0,
         }),
     });
     shared
@@ -1986,5 +1953,138 @@ mod tests {
         handler.join().unwrap();
         let errors = server.shutdown();
         assert!(errors.is_empty(), "{errors:?}");
+    }
+
+    /// A passthrough query on source `in`, with a subscriber attached
+    /// before anything is published.
+    fn passthrough_server() -> (ServerHandle, crate::Client) {
+        let mut g = QueryGraph::new();
+        let node = g.add(Box::new(Passthrough::new("sink")));
+        g.source("in", node);
+        g.sink(node);
+        let server = Server::serve("127.0.0.1:0", ServedQuery::new(g)).unwrap();
+        let sub = crate::Client::subscriber(server.addr()).unwrap();
+        (server, sub)
+    }
+
+    fn hello(addr: SocketAddr) -> (TcpStream, u64) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        protocol::write_request(&mut stream, &Request::Hello { publisher: true }).unwrap();
+        match protocol::read_response(&mut stream).unwrap() {
+            Response::HelloAck {
+                token: Some(token), ..
+            } => (stream, token),
+            other => panic!("expected HelloAck, got {other:?}"),
+        }
+    }
+
+    /// Publish one frame with the given timestamps; the reply.
+    fn publish(stream: &mut TcpStream, seq: u64, ts: &[u64]) -> Response {
+        let schema = ustream_core::Schema::builder()
+            .field("v", ustream_core::DataType::Int)
+            .build();
+        let rows: Vec<Tuple> = ts
+            .iter()
+            .map(|&ts| Tuple::new(schema.clone(), vec![ustream_core::Value::from(1)], ts))
+            .collect();
+        protocol::write_publish(stream, "in", 0, Some(seq), &rows).unwrap();
+        protocol::read_response(stream).unwrap()
+    }
+
+    fn assert_refused(resp: Response, why: &str) {
+        match resp {
+            Response::Error {
+                code: ErrorCode::Protocol,
+                message,
+            } => assert!(message.contains(why), "{message}"),
+            other => panic!("expected a Protocol refusal, got {other:?}"),
+        }
+    }
+
+    fn assert_acked(resp: Response, n: u32) {
+        assert!(
+            matches!(resp, Response::Ack { count } if count == n),
+            "{resp:?}"
+        );
+    }
+
+    /// Finish the publisher and return the timestamps the subscriber saw,
+    /// in order, plus the server's applied-tuple count.
+    fn finish(
+        mut stream: TcpStream,
+        server: ServerHandle,
+        mut sub: crate::Client,
+    ) -> (Vec<u64>, u64) {
+        protocol::write_request(&mut stream, &Request::Finish).unwrap();
+        assert_acked(protocol::read_response(&mut stream).unwrap(), 0);
+        let seen = sub
+            .collect_until_eos()
+            .unwrap()
+            .into_iter()
+            .flat_map(|(_, tuples)| tuples.into_iter().map(|t| t.ts))
+            .collect();
+        let applied = server.shared.m.publish_tuples.get();
+        let errors = server.shutdown();
+        assert!(
+            errors.iter().all(|e| e.severity() == Severity::Transient),
+            "{errors:?}"
+        );
+        (seen, applied)
+    }
+
+    #[test]
+    fn a_publish_whose_ts_decreases_inside_the_frame_is_refused() {
+        let (server, sub) = passthrough_server();
+        let (mut stream, _) = hello(server.addr());
+        assert_acked(publish(&mut stream, 1, &[1, 2, 2]), 3);
+        assert_refused(
+            publish(&mut stream, 2, &[4, 6, 5]),
+            "decreases inside the frame",
+        );
+        // Neither applied nor acked: sequence 2 is still the one expected.
+        assert_acked(publish(&mut stream, 2, &[4, 5, 6]), 3);
+        let (seen, applied) = finish(stream, server, sub);
+        assert_eq!(seen, vec![1, 2, 2, 4, 5, 6]);
+        assert_eq!(applied, 6);
+    }
+
+    #[test]
+    fn a_publish_below_the_last_published_ts_is_refused_across_a_resume() {
+        let (server, sub) = passthrough_server();
+        let (mut stream, token) = hello(server.addr());
+        assert_acked(publish(&mut stream, 1, &[10, 20]), 2);
+        drop(stream);
+        // The high-water mark lives in the session, not the connection.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let resume = Request::Resume {
+            token,
+            last_acked_seq: 1,
+        };
+        protocol::write_request(&mut stream, &resume).unwrap();
+        assert!(matches!(
+            protocol::read_response(&mut stream).unwrap(),
+            Response::ResumeOk { last_seq: 1, .. }
+        ));
+        assert_refused(publish(&mut stream, 2, &[15, 30]), "high-water mark 20");
+        // A duplicate is re-acked unchecked, and equal ts is in order.
+        assert_acked(publish(&mut stream, 1, &[10, 20]), 2);
+        assert_acked(publish(&mut stream, 2, &[20, 30]), 2);
+        let (seen, applied) = finish(stream, server, sub);
+        assert_eq!(seen, vec![10, 20, 20, 30]);
+        assert_eq!(applied, 4);
+    }
+
+    #[test]
+    fn a_publish_below_the_heartbeat_watermark_is_refused() {
+        let (server, sub) = passthrough_server();
+        let (mut stream, _) = hello(server.addr());
+        assert_acked(publish(&mut stream, 1, &[1]), 1);
+        protocol::write_request(&mut stream, &Request::Heartbeat { watermark: 100 }).unwrap();
+        assert_acked(protocol::read_response(&mut stream).unwrap(), 0);
+        assert_refused(publish(&mut stream, 2, &[50]), "high-water mark 100");
+        assert_acked(publish(&mut stream, 2, &[100, 101]), 2);
+        let (seen, applied) = finish(stream, server, sub);
+        assert_eq!(seen, vec![1, 100, 101]);
+        assert_eq!(applied, 3);
     }
 }

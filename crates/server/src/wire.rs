@@ -935,7 +935,10 @@ pub fn decode_batch(r: &mut Reader<'_>) -> WireResult<Batch> {
             if n == 0 {
                 return Ok(Batch::new());
             }
-            let mut cols = Columns::with_capacity(schema, n);
+            // Reserve only what the payload can hold (a row is at least
+            // its 20 bytes of ts, existence and lineage count), so a
+            // lying count cannot balloon memory before decoding fails.
+            let mut cols = Columns::with_capacity(schema, n.min(r.remaining() / 20));
             for _ in 0..n {
                 decode_row_into(r, &mut cols)?;
             }
@@ -1244,6 +1247,16 @@ mod tests {
         assert!(matches!(
             decode_batch(&mut r),
             Err(WireError::InvalidPayload(_))
+        ));
+        // A lying row count fails on the missing rows without first
+        // reserving columns for it: n = u32::MAX, one row present.
+        let mut lying = vec![BATCH_SHARED_SCHEMA];
+        encode_schema(&mut lying, t.schema());
+        lying.extend_from_slice(&u32::MAX.to_be_bytes());
+        encode_tuple_body(&mut lying, &t);
+        assert!(matches!(
+            decode_batch(&mut Reader::new(&lying)),
+            Err(WireError::Truncated { .. })
         ));
     }
 

@@ -1,5 +1,6 @@
 //! Executor throughput on a Q1-style select → project → aggregate graph:
-//! tuple-at-a-time single-threaded execution vs batched single-threaded
+//! tuple-at-a-time single-threaded execution (`QueryGraph::run`, which is
+//! `run_batched` at batch size 1) vs batched single-threaded
 //! execution (batch sizes {1, 64, 1024}) vs the incremental session
 //! driver vs the sharded runtime at shard counts {1, 2, 4, 8}, plus the
 //! **staged exchange pipeline** (`staged/N`: the same Q1 chain feeding a
@@ -40,8 +41,9 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 // before the batched, plan-compiled rework — per delivery it re-scans the
 // whole edge list into a fresh `Vec`, looks ranks up in a `HashMap`, and
 // clones the tuple once per downstream edge *and* once per sink. Kept
-// verbatim (over the same `Operator` objects) so the perf trajectory
-// always has its origin measurable.
+// verbatim (over the same `Operator` objects, reached through the
+// one-row `Operator::process` adapter) so the perf trajectory always has
+// its origin measurable.
 // ---------------------------------------------------------------------
 
 struct SeedExecutor {

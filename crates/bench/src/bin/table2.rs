@@ -5,9 +5,10 @@
 //! Three algorithms over identical windows of random-mixture inputs:
 //! the histogram-based sampling baseline \[25\], exact CF inversion, and
 //! CF approximation. Reports throughput (tuples/s) and the distance of
-//! each output to the exact result distribution (total-variation distance
-//! in [0, 1], standing in for \[25\]'s variance-distance formula — see
-//! EXPERIMENTS.md).
+//! each output to the exact result distribution. The paper's column is
+//! \[25\]'s "variance distance", whose formula the paper does not give;
+//! this binary reports total-variation distance in its place (also in
+//! [0, 1], zero iff equal), so its accuracy column is a TV distance.
 //!
 //! Run: `cargo run -p ustream-bench --release --bin table2`
 

@@ -19,9 +19,9 @@
 //!   Delta-method transforms), windowed group-by aggregation with every
 //!   Table-2 strategy, and windowed probabilistic joins.
 //! - [`query`] — box-arrow query graphs compiled into a [`query::CompiledPlan`]
-//!   and executed tuple-at-a-time or in [`batch::Batch`]es, to completion
-//!   or incrementally through an [`query::ExecSession`]; `ustream-runtime`
-//!   shards that session across cores.
+//!   and executed in [`batch::Batch`]es (of one, for tuple-at-a-time), to
+//!   completion or incrementally through an [`query::ExecSession`];
+//!   `ustream-runtime` shards that session across cores.
 //! - [`confidence`] — intervals, highest-density unions, ellipsoids.
 //! - [`window`] — tumbling/count/sliding event-time windows.
 //! - [`canon`] — the canonical `(ts, content)` tuple order shared by

@@ -545,8 +545,7 @@ impl WindowedAggregate {
 
     /// Advance the sliding-window state by one tuple, appending every
     /// window it closes to `pending` as `(start, end, members)`. The
-    /// single home of the close/evict logic, shared by the tuple-at-a-time
-    /// and batched paths.
+    /// single home of the close/evict logic.
     fn sliding_push(&mut self, tuple: Tuple, pending: &mut Vec<(u64, u64, Vec<Tuple>)>) {
         let WindowState::Sliding {
             range_ms,
@@ -925,39 +924,9 @@ impl Operator for WindowedAggregate {
         self.row_windows = telemetry.row_windows.clone();
     }
 
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        self.hydrate_col_window();
-        match &mut self.window {
-            WindowState::Tumbling(w) => {
-                let batches = w.push(tuple);
-                let mut out = Vec::new();
-                for b in batches {
-                    out.extend(self.emit_window(b.start, b.end, b.tuples));
-                }
-                out
-            }
-            WindowState::Count(w) => match w.push(tuple) {
-                Some(batch) => {
-                    let (start, end) = batch_span(&batch);
-                    self.emit_window(start, end, batch)
-                }
-                None => Vec::new(),
-            },
-            WindowState::Sliding { .. } => {
-                let mut pending: Vec<(u64, u64, Vec<Tuple>)> = Vec::new();
-                self.sliding_push(tuple, &mut pending);
-                let mut out = Vec::new();
-                for (start, end, members) in pending {
-                    out.extend(self.emit_window(start, end, members));
-                }
-                out
-            }
-        }
-    }
-
-    /// Batched path: buffer the whole batch into the window state with a
-    /// single window-kind dispatch, collect every closed window, then run
-    /// the (expensive, shared) emit step once per closed window. Sliding
+    /// Buffer the whole batch into the window state with a single
+    /// window-kind dispatch, collect every closed window, then run the
+    /// (expensive, shared) emit step once per closed window. Sliding
     /// windows take the same bulk shape: one shared pending list across
     /// the batch instead of a per-tuple output `Vec` per member.
     fn process_batch(&mut self, _port: usize, mut batch: Batch) -> Batch {

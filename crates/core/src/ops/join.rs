@@ -355,15 +355,9 @@ impl WindowJoin {
         GroupKey::from_value(t.get(field).ok()?)
     }
 
-    /// Full per-tuple ingest (archive → evict → probe → buffer), shared
-    /// by the tuple-at-a-time and batched paths.
-    fn ingest(&mut self, port: usize, tuple: Tuple, out: &mut Vec<Tuple>) {
-        let key = self.extract_key(port, &tuple);
-        self.ingest_with_key(port, tuple, key, out);
-    }
-
-    /// Ingest with the declared key already extracted (`None` when the
-    /// join is not field-keyed, or the tuple has no key).
+    /// Full per-tuple ingest (archive → evict → probe → buffer), with the
+    /// declared key already extracted (`None` when the join is not
+    /// field-keyed, or the tuple has no key).
     fn ingest_with_key(
         &mut self,
         port: usize,
@@ -608,22 +602,16 @@ impl Operator for WindowJoin {
         }
     }
 
-    fn process(&mut self, port: usize, tuple: Tuple) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        self.ingest(port, tuple, &mut out);
-        out
-    }
-
     fn partition_key_field(&self, port: usize) -> Option<&str> {
         let (lf, rf) = self.key_fields.as_ref()?;
         Some(if port == 0 { lf } else { rf })
     }
 
-    /// Batched path: ingest each tuple in order, accumulating all matches
-    /// into one output batch (no per-tuple output `Vec`s). Field-keyed
-    /// joins read columnar batches' keys straight off the key column
-    /// before hydrating, skipping the per-row field lookup.
-    fn process_batch(&mut self, port: usize, mut batch: Batch) -> Batch {
+    /// Ingest each tuple in order, accumulating all matches into one
+    /// output batch (no per-tuple output `Vec`s). Field-keyed joins read
+    /// columnar batches' keys straight off the key column before
+    /// hydrating, skipping the per-row field lookup.
+    fn process_batch(&mut self, port: usize, batch: Batch) -> Batch {
         let mut out = Vec::new();
         let col_keys: Option<Vec<Option<GroupKey>>> = match (&self.key_fields, batch.columns()) {
             (Some((lf, rf)), Some(cols)) => {
@@ -635,18 +623,13 @@ impl Operator for WindowJoin {
             }
             _ => None,
         };
-        match col_keys {
-            Some(keys) => {
-                batch.hydrate();
-                for (tuple, key) in batch.into_vec().into_iter().zip(keys) {
-                    self.ingest_with_key(port, tuple, key, &mut out);
-                }
-            }
-            None => {
-                for tuple in batch {
-                    self.ingest(port, tuple, &mut out);
-                }
-            }
+        let mut col_keys = col_keys.map(Vec::into_iter);
+        for tuple in batch {
+            let key = match &mut col_keys {
+                Some(keys) => keys.next().expect("one key per row"),
+                None => self.extract_key(port, &tuple),
+            };
+            self.ingest_with_key(port, tuple, key, &mut out);
         }
         Batch::from(out)
     }

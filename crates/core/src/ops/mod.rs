@@ -1,9 +1,10 @@
 //! Query operators (the "boxes" of the box-arrow architecture, §3).
 //!
-//! Every operator is push-based: `process(port, tuple)` returns the output
-//! tuples produced so far; `flush` drains state at end of stream (closing
-//! open windows). Multi-input operators (join) distinguish inputs by
-//! `port`.
+//! Every operator is push-based: `process_batch(port, batch)` returns the
+//! output tuples produced so far; `flush` drains state at end of stream
+//! (closing open windows). Multi-input operators (join) distinguish inputs
+//! by `port`. `process(port, tuple)` is a one-row adapter over
+//! `process_batch`, so every operator has exactly one data path.
 
 pub mod aggregate;
 pub mod join;
@@ -45,24 +46,20 @@ pub trait Operator: Send {
         1
     }
 
-    /// Push one tuple into `port`; returns any output produced.
-    fn process(&mut self, port: usize, tuple: Tuple) -> Vec<Tuple>;
-
     /// Push a batch of tuples into `port`; returns everything produced.
     ///
-    /// Semantically identical to calling [`Self::process`] on each tuple
-    /// in order and concatenating the outputs — which is exactly what the
-    /// default implementation does, so every operator works under the
-    /// batched executors unchanged. Hot operators override this to
-    /// resolve field indices once per batch ([`Batch::shared_schema`]),
-    /// filter/transform in place, and skip the per-tuple `Vec`
-    /// allocations.
-    fn process_batch(&mut self, port: usize, batch: Batch) -> Batch {
-        let mut out = Batch::with_capacity(batch.len());
-        for t in batch {
-            out.extend(self.process(port, t));
-        }
-        out
+    /// The one data method every operator implements. Its output must
+    /// equal the concatenation of what the same tuples produce when
+    /// pushed one at a time, as one-row batches — the property the
+    /// per-operator batch-1 vs batch-N tests check. Operators resolve
+    /// field indices once per batch ([`Batch::shared_schema`]) and
+    /// filter/transform in place.
+    fn process_batch(&mut self, port: usize, batch: Batch) -> Batch;
+
+    /// Push one tuple into `port`; returns any output produced. A
+    /// one-row adapter over [`Self::process_batch`].
+    fn process(&mut self, port: usize, tuple: Tuple) -> Vec<Tuple> {
+        self.process_batch(port, Batch::one(tuple)).into_vec()
     }
 
     /// End-of-stream: drain buffered state (open windows etc.).
@@ -141,10 +138,6 @@ impl Operator for Passthrough {
         &self.name
     }
 
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        vec![tuple]
-    }
-
     fn process_batch(&mut self, _port: usize, batch: Batch) -> Batch {
         batch
     }
@@ -194,10 +187,6 @@ impl MapOperator {
 impl Operator for MapOperator {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        (self.f)(tuple)
     }
 
     fn process_batch(&mut self, _port: usize, batch: Batch) -> Batch {

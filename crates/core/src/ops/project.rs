@@ -95,9 +95,9 @@ impl Derivation {
     }
 }
 
-/// Input indices a derivation reads, resolved once per schema for the
-/// batched path. `Missing` marks an unresolvable field reference: every
-/// tuple of that schema drops (the per-tuple semantics).
+/// Input indices a derivation reads, resolved once per schema. `Missing`
+/// marks an unresolvable field reference: every tuple of that schema
+/// drops.
 #[derive(Debug, Clone, Copy)]
 enum ResolvedInputs {
     /// Certain derivations look fields up through their own closure.
@@ -119,9 +119,7 @@ struct ResolvedProject {
 pub struct Project {
     name: String,
     derivations: Vec<Derivation>,
-    /// Cache of input schema → output schema.
-    out_schema: Option<(Arc<Schema>, Arc<Schema>)>,
-    /// Per-schema resolution cache for the batched path.
+    /// Per-schema resolution cache.
     resolved: Option<ResolvedProject>,
 }
 
@@ -131,7 +129,6 @@ impl Project {
         Project {
             name: "project".into(),
             derivations,
-            out_schema: None,
             resolved: None,
         }
     }
@@ -141,28 +138,17 @@ impl Project {
         self
     }
 
-    fn output_schema(&mut self, input: &Arc<Schema>) -> Arc<Schema> {
-        if let Some((cached_in, cached_out)) = &self.out_schema {
-            if Arc::ptr_eq(cached_in, input) {
-                return cached_out.clone();
-            }
-        }
-        let extra: Vec<Field> = self.derivations.iter().map(|d| d.out_field()).collect();
-        let out = input.extend(extra);
-        self.out_schema = Some((input.clone(), out.clone()));
-        out
-    }
-
     /// Resolve (or fetch the cached resolution of) every derivation's
-    /// input fields against `input` — the batched path's once-per-schema
-    /// compilation step.
+    /// input fields against `input` — the once-per-schema compilation
+    /// step.
     fn ensure_resolved(&mut self, input: &Arc<Schema>) {
         let stale = match &self.resolved {
             Some(r) => !Arc::ptr_eq(&r.input_schema, input),
             None => true,
         };
         if stale {
-            let out_schema = self.output_schema(input);
+            let extra: Vec<Field> = self.derivations.iter().map(|d| d.out_field()).collect();
+            let out_schema = input.extend(extra);
             let inputs = self
                 .derivations
                 .iter()
@@ -194,63 +180,10 @@ impl Project {
         }
     }
 
-    fn derive_value(d: &Derivation, t: &Tuple) -> Option<Value> {
-        match d {
-            Derivation::Certain { f, .. } => Some(f(t)),
-            Derivation::CertainLinear { input, a, b, .. } => {
-                let x = t.get(input).ok()?.as_float()?;
-                Some(Value::Float(x * a + b))
-            }
-            Derivation::Linear { input, a, b, .. } => {
-                let u = t.updf(input).ok()?;
-                Some(Value::from(u.affine(*a, *b)))
-            }
-            Derivation::Monotone {
-                input,
-                h,
-                h_inv,
-                dh_inv,
-                bins,
-                ..
-            } => {
-                let u = t.updf(input).ok()?;
-                Some(Value::from(monotone_transform(u, h, h_inv, dh_inv, *bins)))
-            }
-            Derivation::Delta { input, h, dh, .. } => {
-                let u = t.updf(input).ok()?;
-                let (mu, var) = (u.mean(), u.variance());
-                let slope = dh(mu);
-                let out_var = (slope * slope * var).max(1e-18);
-                Some(Value::from(Updf::Parametric(Dist::Gaussian(
-                    Gaussian::from_mean_var(h(mu), out_var),
-                ))))
-            }
-            Derivation::DeltaBinary {
-                input1,
-                input2,
-                h,
-                dh1,
-                dh2,
-                ..
-            } => {
-                let u1 = t.updf(input1).ok()?;
-                let u2 = t.updf(input2).ok()?;
-                let (m1, v1) = (u1.mean(), u1.variance());
-                let (m2, v2) = (u2.mean(), u2.variance());
-                let (g1, g2) = (dh1(m1, m2), dh2(m1, m2));
-                let out_var = (g1 * g1 * v1 + g2 * g2 * v2).max(1e-18);
-                Some(Value::from(Updf::Parametric(Dist::Gaussian(
-                    Gaussian::from_mean_var(h(m1, m2), out_var),
-                ))))
-            }
-        }
-    }
-
-    /// Index-addressed counterpart of [`Self::derive_value`] used by the
-    /// batched path — no field-name lookups.
+    /// One derived value for `t`, with its input fields already resolved
+    /// to indices — no field-name lookups. `None` drops the tuple.
     fn derive_value_at(d: &Derivation, inputs: ResolvedInputs, t: &Tuple) -> Option<Value> {
         match (d, inputs) {
-            (_, ResolvedInputs::Missing) => None,
             (Derivation::Certain { f, .. }, _) => Some(f(t)),
             (Derivation::CertainLinear { a, b, .. }, ResolvedInputs::One(i)) => {
                 let x = t.at(i).as_float()?;
@@ -297,11 +230,12 @@ impl Project {
         }
     }
 
-    /// Vectorized column-at-a-time derivation. Returns `true` when every
-    /// derivation had a columnar kernel for its input column's layout and
-    /// the batch was widened in place; `false` asks the caller to hydrate
-    /// and run the row path. The kernels call the exact same scalar
-    /// functions as the row path, so outputs are bit-identical.
+    /// Vectorized column-at-a-time derivation. Returns `true` when the
+    /// batch is columnar, every derivation had a columnar kernel for its
+    /// input column's layout, and the batch was widened in place; `false`
+    /// asks the caller to hydrate and run the row path. The kernels call
+    /// the exact same scalar functions as the row path, so outputs are
+    /// bit-identical.
     fn columnar_derive(&self, batch: &mut Batch, out_schema: &Arc<Schema>) -> bool {
         let resolved = self.resolved.as_ref().expect("resolved before columnar");
         let Some(cols) = batch.columns() else {
@@ -413,24 +347,12 @@ impl Operator for Project {
         crate::ops::Partitioning::Any
     }
 
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        let out_schema = self.output_schema(tuple.schema());
-        let mut extra = Vec::with_capacity(self.derivations.len());
-        for d in &self.derivations {
-            match Self::derive_value(d, &tuple) {
-                Some(v) => extra.push(v),
-                None => return Vec::new(), // malformed input: drop
-            }
-        }
-        vec![tuple.extended(out_schema, extra)]
-    }
-
-    /// Batched path: resolve the output schema and every input index once
-    /// per batch, then widen each tuple in place (no values-vector clone,
-    /// no per-tuple `Vec` allocation).
+    /// Resolve the output schema and every input index once per batch,
+    /// then widen each tuple in place (no values-vector clone, no
+    /// per-tuple `Vec` allocation).
     fn process_batch(&mut self, port: usize, mut batch: Batch) -> Batch {
         let Some(schema) = batch.shared_schema().cloned() else {
-            // Mixed-schema batch: fall back to per-tuple execution.
+            // Mixed-schema batch: run each tuple as a one-row batch.
             let mut out = Batch::with_capacity(batch.len());
             for t in batch {
                 out.extend(self.process(port, t));
@@ -438,28 +360,21 @@ impl Operator for Project {
             return out;
         };
         self.ensure_resolved(&schema);
-        let out_schema = self
-            .resolved
-            .as_ref()
-            .expect("just resolved")
-            .out_schema
-            .clone();
-        if batch.is_columnar() {
-            let resolved = self.resolved.as_ref().expect("just resolved");
-            if resolved
-                .inputs
-                .iter()
-                .any(|i| matches!(i, ResolvedInputs::Missing))
-            {
-                // An unresolvable input field drops every tuple of this
-                // schema — same as the row path, without hydrating.
-                return Batch::new();
-            }
-            if self.columnar_derive(&mut batch, &out_schema) {
-                return batch;
-            }
-            batch.hydrate();
+        let resolved = self.resolved.as_ref().expect("just resolved");
+        if resolved
+            .inputs
+            .iter()
+            .any(|i| matches!(i, ResolvedInputs::Missing))
+        {
+            // An unresolvable input field drops every tuple of this
+            // schema, without hydrating.
+            return Batch::new();
         }
+        let out_schema = resolved.out_schema.clone();
+        if self.columnar_derive(&mut batch, &out_schema) {
+            return batch;
+        }
+        batch.hydrate();
         let resolved = self.resolved.as_ref().expect("just resolved");
         let derivations = &self.derivations;
         let inputs = &resolved.inputs;
@@ -890,5 +805,66 @@ mod tests {
         let a = p.process(0, mk(0.0));
         let b = p.process(0, mk(1.0));
         assert!(Arc::ptr_eq(a[0].schema(), b[0].schema()));
+    }
+
+    #[test]
+    fn mixed_schema_batch_matches_per_tuple_and_drops_missing_field() {
+        use crate::batch::Batch;
+        let mk_proj = || {
+            Project::new(vec![
+                Derivation::Linear {
+                    input: "x".into(),
+                    a: 3.0,
+                    b: -1.0,
+                    out: "y".into(),
+                },
+                Derivation::CertainLinear {
+                    input: "tag_id".into(),
+                    a: 2.0,
+                    b: 0.5,
+                    out: "w".into(),
+                },
+            ])
+        };
+        // `x` and `tag_id` swap indices between `a` and `b`; `c` has no
+        // `x`. A row batch cycling through all three has no shared
+        // schema, so it takes the per-tuple fallback.
+        let a = schema();
+        let b = Schema::builder()
+            .field("x", DataType::Uncertain)
+            .field("tag_id", DataType::Int)
+            .build();
+        let c = Schema::builder().field("tag_id", DataType::Int).build();
+        let gauss = |m: f64| Value::from(Updf::Parametric(Dist::gaussian(m, 1.0)));
+        let inputs: Vec<Tuple> = (0..12u64)
+            .map(|i| {
+                let id = Value::from(i as i64);
+                match i % 3 {
+                    0 => Tuple::new(a.clone(), vec![id, gauss(i as f64)], i),
+                    1 => Tuple::new(b.clone(), vec![gauss(i as f64), id], i),
+                    _ => Tuple::new(c.clone(), vec![id], i),
+                }
+            })
+            .collect();
+        let batch = Batch::from(inputs.clone());
+        assert!(batch.shared_schema().is_none(), "exercises the fallback");
+
+        let mut one = mk_proj();
+        let mut per_tuple = Vec::new();
+        for t in inputs {
+            per_tuple.extend(one.process(0, t));
+        }
+        let mut two = mk_proj();
+        let batched = two.process_batch(0, batch).into_vec();
+        assert_eq!(format!("{per_tuple:?}"), format!("{batched:?}"));
+
+        // 4 tuples each of `a` and `b` survive; every `c` tuple drops.
+        assert_eq!(batched.len(), 8);
+        for t in &batched {
+            assert_ne!(t.ts % 3, 2, "tuples without `x` drop");
+            let i = t.ts as f64;
+            assert!((t.updf("y").unwrap().mean() - (3.0 * i - 1.0)).abs() < 1e-12);
+            assert_eq!(t.float("w").unwrap(), 2.0 * i + 0.5);
+        }
     }
 }

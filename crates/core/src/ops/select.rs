@@ -66,29 +66,6 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Probability that the predicate holds for this tuple. Certain
-    /// predicates return exactly 0.0 or 1.0. Returns `None` if a referenced
-    /// field is missing or mistyped (tuple is then dropped by Select).
-    pub fn probability(&self, t: &Tuple) -> Option<f64> {
-        match self {
-            Predicate::StrEq(field, want) => {
-                Some((t.str(field).ok()? == want.as_str()) as u8 as f64)
-            }
-            Predicate::NumCmp(field, op, c) => Some(op.eval(t.float(field).ok()?, *c) as u8 as f64),
-            Predicate::UncertainAbove(field, c) => Some(t.updf(field).ok()?.prob_above(*c)),
-            Predicate::UncertainBelow(field, c) => Some(1.0 - t.updf(field).ok()?.prob_above(*c)),
-            Predicate::UncertainBetween(field, lo, hi) => {
-                Some(t.updf(field).ok()?.prob_in(*lo, *hi))
-            }
-            Predicate::And(a, b) => Some(a.probability(t)? * b.probability(t)?),
-            Predicate::Or(a, b) => {
-                let (pa, pb) = (a.probability(t)?, b.probability(t)?);
-                Some(pa + pb - pa * pb)
-            }
-            Predicate::Not(p) => Some(1.0 - p.probability(t)?),
-        }
-    }
-
     /// The (field, interval) this predicate conditions on, when it is a
     /// simple interval constraint on one uncertain attribute — the case
     /// where Select can truncate the distribution.
@@ -104,7 +81,7 @@ impl Predicate {
     /// Resolve every field reference against `schema`, producing an
     /// index-addressed predicate — one string lookup per field per
     /// **batch** instead of per tuple. `None` when a field is missing
-    /// (the per-tuple semantics then drop every tuple of that schema).
+    /// (every tuple of that schema then drops).
     fn compile(&self, schema: &Schema) -> Option<CompiledPredicate> {
         Some(match self {
             Predicate::StrEq(f, want) => {
@@ -147,8 +124,9 @@ enum CompiledPredicate {
 }
 
 impl CompiledPredicate {
-    /// Index-addressed counterpart of [`Predicate::probability`]; still
-    /// `None` on a type mismatch (tuple is dropped).
+    /// Probability that the predicate holds for this tuple. Certain
+    /// predicates return exactly 0.0 or 1.0; `None` on a type mismatch
+    /// (the tuple is then dropped).
     fn probability(&self, t: &Tuple) -> Option<f64> {
         match self {
             CompiledPredicate::StrEq(idx, want) => {
@@ -297,7 +275,7 @@ pub struct Select {
     min_prob: f64,
     /// Replace the conditioned attribute by its truncated distribution.
     condition_distribution: bool,
-    /// Per-schema compilation cache for the batched path.
+    /// Per-schema compilation cache.
     compiled: Option<CompiledSelect>,
 }
 
@@ -362,51 +340,28 @@ impl Operator for Select {
         crate::ops::Partitioning::Any
     }
 
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        let Some(p) = self.predicate.probability(&tuple) else {
-            return Vec::new(); // malformed tuple: drop
-        };
-        let survival = tuple.existence * p;
-        if survival < self.min_prob || survival <= 0.0 {
-            return Vec::new();
-        }
-        let mut out = tuple;
-        out.existence = survival.min(1.0);
-
-        if self.condition_distribution {
-            if let Some((field, lo, hi)) = self.predicate.conditioning_interval() {
-                let field = field.to_string();
-                if let (Ok(idx), Ok(updf)) =
-                    (out.schema().index_of(&field), out.updf(&field).cloned())
-                {
-                    if let Some(conditioned) = condition_updf(&updf, lo, hi) {
-                        out = out.with_value(idx, Value::from(conditioned));
-                    }
-                }
-            }
-        }
-        vec![out]
-    }
-
-    /// Batched path: compile the predicate once for the batch's shared
-    /// schema, then filter/condition in place — no per-tuple string
-    /// lookups, no per-tuple `Vec` allocations. Columnar batches run a
-    /// vectorized filter over the typed columns (unless conditioning
-    /// applies, which needs per-tuple distribution rewrites — those
-    /// hydrate and take the row path).
+    /// Compile the predicate once for the batch's shared schema, then
+    /// filter/condition in place — no per-tuple string lookups, no
+    /// per-tuple `Vec` allocations. Columnar batches run a vectorized
+    /// filter over the typed columns (unless conditioning applies, which
+    /// needs per-tuple distribution rewrites — those hydrate and take the
+    /// row path).
     fn process_batch(&mut self, port: usize, mut batch: Batch) -> Batch {
-        if batch.is_columnar() {
-            let schema = batch
-                .shared_schema()
-                .cloned()
-                .expect("columnar batches have one schema");
-            let min_prob = self.min_prob;
-            let compiled = self.compiled_for(&schema);
-            let Some(pred) = &compiled.predicate else {
-                return Batch::new(); // missing field: every tuple drops
-            };
-            if compiled.conditioning.is_none() {
-                let mut cols = batch.take_columns().expect("columnar batch");
+        let Some(schema) = batch.shared_schema().cloned() else {
+            // Mixed-schema batch: run each tuple as a one-row batch.
+            let mut out = Batch::with_capacity(batch.len());
+            for t in batch {
+                out.extend(self.process(port, t));
+            }
+            return out;
+        };
+        let min_prob = self.min_prob;
+        let compiled = self.compiled_for(&schema);
+        let Some(pred) = &compiled.predicate else {
+            return Batch::new(); // missing field: every tuple drops
+        };
+        if compiled.conditioning.is_none() {
+            if let Some(mut cols) = batch.take_columns() {
                 let probs = pred.probabilities(&cols);
                 let existence = cols.existence_mut();
                 let mut keep = Vec::with_capacity(probs.len());
@@ -421,21 +376,8 @@ impl Operator for Select {
                 cols.filter(&keep);
                 return Batch::from_columns(cols);
             }
-            batch.hydrate();
         }
-        let Some(schema) = batch.shared_schema().cloned() else {
-            // Mixed-schema batch: fall back to per-tuple execution.
-            let mut out = Batch::with_capacity(batch.len());
-            for t in batch {
-                out.extend(self.process(port, t));
-            }
-            return out;
-        };
-        let min_prob = self.min_prob;
-        let compiled = self.compiled_for(&schema);
-        let Some(pred) = &compiled.predicate else {
-            return Batch::new(); // missing field: every tuple drops
-        };
+        batch.hydrate();
         let conditioning = compiled.conditioning;
         batch.retain_mut(|t| {
             let Some(p) = pred.probability(t) else {
@@ -760,5 +702,54 @@ mod tests {
         let mut s = Select::new(Predicate::UncertainAbove("nope".into(), 0.0), 0.0);
         let batch = Batch::from(vec![tuple("x", 0.0, 1.0), tuple("y", 1.0, 1.0)]);
         assert!(s.process_batch(0, batch).is_empty());
+    }
+
+    #[test]
+    fn mixed_schema_batch_matches_per_tuple_and_drops_missing_field() {
+        use crate::batch::Batch;
+        // `temp` sits at index 1 in `a`, at index 0 in `b`, and is
+        // absent from `c`: a row batch cycling through all three has no
+        // shared schema, so it takes the per-tuple fallback.
+        let a = schema();
+        let b = Schema::builder()
+            .field("temp", DataType::Uncertain)
+            .field("kind", DataType::Str)
+            .build();
+        let c = Schema::builder().field("kind", DataType::Str).build();
+        let gauss = |m: f64| Value::from(Updf::Parametric(Dist::gaussian(m, 5.0)));
+        let inputs: Vec<Tuple> = (0..30u64)
+            .map(|i| {
+                let m = 50.0 + i as f64;
+                match i % 3 {
+                    0 => Tuple::new(a.clone(), vec![Value::from("x"), gauss(m)], i),
+                    1 => Tuple::new(b.clone(), vec![gauss(m), Value::from("x")], i),
+                    _ => Tuple::new(c.clone(), vec![Value::from("x")], i),
+                }
+            })
+            .collect();
+        let batch = Batch::from(inputs.clone());
+        assert!(batch.shared_schema().is_none(), "exercises the fallback");
+
+        // Conditioning stays on (the default).
+        let pred = Predicate::UncertainAbove("temp".into(), 60.0);
+        let mut one = Select::new(pred.clone(), 0.05);
+        let mut per_tuple = Vec::new();
+        for t in inputs {
+            per_tuple.extend(one.process(0, t));
+        }
+        let mut two = Select::new(pred, 0.05);
+        let batched = two.process_batch(0, batch).into_vec();
+        assert_eq!(format!("{per_tuple:?}"), format!("{batched:?}"));
+
+        // Every survivor came from `a` or `b`, with P(temp > 60) read at
+        // its own schema's index and `temp` truncated above 60.
+        assert!(batched.iter().any(|t| t.ts % 3 == 0));
+        assert!(batched.iter().any(|t| t.ts % 3 == 1));
+        for t in &batched {
+            assert_ne!(t.ts % 3, 2, "tuples without `temp` drop");
+            let prior = Dist::gaussian(50.0 + t.ts as f64, 5.0);
+            assert!((t.existence - prior.prob_above(60.0)).abs() < 1e-12);
+            assert!(t.updf("temp").unwrap().mean() > 60.0, "conditioned");
+        }
     }
 }

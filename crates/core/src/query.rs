@@ -9,12 +9,12 @@
 //!
 //! Execution entry points:
 //!
-//! - [`QueryGraph::run`] — single-threaded tuple-at-a-time push execution
-//!   in topological order; deterministic, used by tests and harnesses.
 //! - [`QueryGraph::run_batched`] — single-threaded push execution moving
-//!   [`Batch`]es of tuples; operators with batched overrides resolve
-//!   schemas once per batch and skip per-tuple allocations. The
+//!   [`Batch`]es of tuples through [`Operator::process_batch`]; operators
+//!   resolve schemas once per batch and skip per-tuple allocations. The
 //!   reference every other driver is checked against.
+//! - [`QueryGraph::run`] — `run_batched` with batch size 1, the
+//!   tuple-at-a-time form used by tests and harnesses.
 //! - [`ExecSession`] — the incremental form of `run_batched`, fed batch
 //!   by batch; the sharded runtime runs one per stage × shard.
 //!
@@ -256,75 +256,17 @@ impl QueryGraph {
         merged_feed(&self.sources, inputs)
     }
 
-    /// Single-threaded execution: push each (source, port, tuple) triple
-    /// through the graph in timestamp order, then flush. Returns the
-    /// tuples collected at each sink.
+    /// Single-threaded execution one tuple at a time: exactly
+    /// [`Self::run_batched`] with batch size 1. Returns the tuples
+    /// collected at each sink.
     ///
     /// `inputs` associates stream names (registered via [`Self::source`])
-    /// with (port, tuples). This is the tuple-at-a-time reference
-    /// executor; [`Self::run_batched`] is the high-throughput variant.
+    /// with (port, tuples).
     pub fn run(
         &mut self,
         inputs: Vec<(String, usize, Vec<Tuple>)>,
     ) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        let plan = self.compile()?;
-        let feed = self.ordered_feed(inputs)?;
-        let mut collected = plan.empty_collection();
-
-        // Per-push propagation in topological rank order.
-        for (_, node, port, tuple) in feed {
-            self.propagate(node.0, port, tuple, &plan, &mut collected);
-        }
-
-        // Flush in topological order, cascading flush outputs downstream.
-        for &i in &plan.order {
-            let outs = self.nodes[i].flush();
-            for t in outs {
-                self.deliver_downstream(i, t, &plan, &mut collected);
-            }
-        }
-        Ok(collected)
-    }
-
-    /// Push one tuple into `node` and cascade its outputs.
-    fn propagate(
-        &mut self,
-        node: usize,
-        port: usize,
-        tuple: Tuple,
-        plan: &CompiledPlan,
-        collected: &mut HashMap<NodeId, Vec<Tuple>>,
-    ) {
-        let outs = self.nodes[node].process(port, tuple);
-        for t in outs {
-            self.deliver_downstream(node, t, plan, collected);
-        }
-    }
-
-    fn deliver_downstream(
-        &mut self,
-        from: usize,
-        tuple: Tuple,
-        plan: &CompiledPlan,
-        collected: &mut HashMap<NodeId, Vec<Tuple>>,
-    ) {
-        let targets = &plan.downstream[from];
-        if plan.is_sink[from] {
-            let bucket = collected.get_mut(&NodeId(from)).expect("sink bucket");
-            if targets.is_empty() {
-                bucket.push(tuple);
-                return;
-            }
-            bucket.push(tuple.clone());
-        } else if targets.is_empty() {
-            return;
-        }
-        let (&(last_to, last_port), rest) = targets.split_last().expect("targets non-empty");
-        for &(to, port) in rest {
-            debug_assert!(plan.rank[to] > plan.rank[from], "edges follow topo order");
-            self.propagate(to, port, tuple.clone(), plan, collected);
-        }
-        self.propagate(last_to, last_port, tuple, plan, collected);
+        self.run_batched(inputs, 1)
     }
 
     /// Single-threaded **batched** execution: the input feed is cut into
@@ -332,16 +274,17 @@ impl QueryGraph {
     /// same (node, port), and each run moves through the graph as one
     /// [`Batch`] via [`Operator::process_batch`].
     ///
-    /// On graphs where every stateful/sink node has a single upstream
-    /// path (linear pipelines and pure fan-out), this produces exactly
-    /// the same sink tuples as [`Self::run`] — same values, timestamps,
-    /// existence probabilities, lineage. At a fan-*in* node the arrival
-    /// order of tuples from different upstream paths differs within a
-    /// batch window (whole batches arrive per path instead of per-tuple
-    /// interleaving); an order-sensitive fan-in operator — e.g. a join
-    /// whose match probability falls back to Monte Carlo draws from the
-    /// operator's rng — can then produce different probabilities for
-    /// individual pairs, not just a different output order.
+    /// The reference every other executor is checked against. On graphs
+    /// where every stateful/sink node has a single upstream path (linear
+    /// pipelines and pure fan-out), every batch size produces the same
+    /// sink tuples — same values, timestamps, existence probabilities,
+    /// lineage. At a fan-*in* node the arrival order of tuples from
+    /// different upstream paths differs within a batch window (whole
+    /// batches arrive per path instead of per-tuple interleaving); an
+    /// order-sensitive fan-in operator — e.g. a join whose match
+    /// probability falls back to Monte Carlo draws from the operator's
+    /// rng — can then produce different probabilities for individual
+    /// pairs, not just a different output order.
     pub fn run_batched(
         &mut self,
         inputs: Vec<(String, usize, Vec<Tuple>)>,
@@ -446,7 +389,7 @@ fn fresh_telemetry(nodes: &mut [Box<dyn Operator>]) -> Vec<OpTelemetry> {
 /// Merge named input streams into one timestamp-ordered feed of
 /// `(ts, node, port, tuple)` entries. The **single home** of the feed
 /// tiebreak — `(ts, node index, port)`, stable within ties — shared by
-/// `run`/`run_batched` and the sharded session's driver: if this
+/// `run_batched` and the sharded session's driver: if this
 /// ordering ever changed in one executor but not another, their outputs
 /// would silently diverge.
 pub fn merged_feed(
@@ -571,8 +514,7 @@ fn deliver_batch(
 
 /// End of stream: process leftover pending batches and flush every node
 /// in topological order; flush outputs cascade downstream as batches and
-/// are themselves processed before the receiver's own flush (same
-/// discipline as the tuple-at-a-time path).
+/// are themselves processed before the receiver's own flush.
 fn flush_cascade(
     nodes: &mut [Box<dyn Operator>],
     plan: &CompiledPlan,

@@ -124,12 +124,6 @@ impl Tuple {
         })
     }
 
-    /// Replace one value, keeping schema/metadata (builder-ish updates).
-    pub fn with_value(mut self, idx: usize, v: Value) -> Tuple {
-        self.values[idx] = v;
-        self
-    }
-
     /// Replace one value in place (the batched operators' mutation path —
     /// no move, no clone).
     pub fn set_value(&mut self, idx: usize, v: Value) {

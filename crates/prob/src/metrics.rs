@@ -2,11 +2,13 @@
 //!
 //! Table 2 reports a "variance distance ∈ [0, 1]" (per the formula of Ge &
 //! Zdonik \[25\]) between each algorithm's output and the exact result
-//! distribution. \[25\]'s exact formula is not reproduced in the paper; we
-//! use total-variation distance — also bounded in [0, 1], zero iff equal —
-//! as the stand-in, and document the substitution in EXPERIMENTS.md. The
-//! module also provides KS distance and KL divergences used by tests and
-//! the §4.3 conversion quality checks.
+//! distribution. \[25\]'s exact formula is not reproduced in the paper, so
+//! this crate substitutes total-variation distance: it is also bounded in
+//! [0, 1] and zero iff the two distributions are equal. Every "variance
+//! distance" this workspace reports (Table 2's accuracy column included)
+//! is therefore a TV distance, not \[25\]'s formula. The module also
+//! provides KS distance and KL divergences used by tests and the §4.3
+//! conversion quality checks.
 
 use crate::dist::{ContinuousDist, Dist, Gaussian};
 use crate::histogram::HistogramPdf;

@@ -57,10 +57,6 @@ impl MomentScan {
     pub fn size_mb(&self) -> f64 {
         self.size_bytes() as f64 / 1.0e6
     }
-
-    pub fn num_cells(&self) -> usize {
-        self.radials.iter().map(|r| r.cells.len()).sum()
-    }
 }
 
 /// Compute moment data from a sector scan's pulses, averaging over

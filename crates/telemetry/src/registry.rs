@@ -216,20 +216,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Register an existing histogram handle under a name.
-    pub fn adopt_histogram(&self, family: &str, labels: &[(&str, &str)], handle: &Histogram) {
-        let h = handle.clone();
-        self.find_or_insert(
-            family,
-            labels,
-            |m| match m {
-                Metric::Histogram(x) if x.same_cell(handle) => Some(()),
-                _ => None,
-            },
-            move || ((), Metric::Histogram(h)),
-        );
-    }
-
     /// Register a read-time merged view over several live sketches
     /// (e.g. every stage's watermark-lag sketch as one cross-stage
     /// summary). Snapshots fold the parts with

@@ -117,11 +117,6 @@ impl TraceStore {
         self.inner.every.store(every, Ordering::Relaxed);
     }
 
-    /// The configured sampling interval (0 = off).
-    pub fn sample_every(&self) -> u64 {
-        self.inner.every.load(Ordering::Relaxed)
-    }
-
     /// Elect or pass over the batch with publish ordinal `ordinal`.
     /// Returns the batch's trace ID when elected. The unsampled path
     /// is one relaxed load plus a modulo: no allocation, no lock.

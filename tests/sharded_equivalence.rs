@@ -955,11 +955,12 @@ impl Operator for PanicOn {
         "panic-on"
     }
 
-    fn process(&mut self, _port: usize, tuple: Tuple) -> Vec<Tuple> {
-        if tuple.int("v").unwrap() == self.trigger {
+    fn process_batch(&mut self, _port: usize, mut batch: Batch) -> Batch {
+        batch.hydrate();
+        if batch.iter().any(|t| t.int("v").unwrap() == self.trigger) {
             panic!("injected operator failure at v={}", self.trigger);
         }
-        vec![tuple]
+        batch
     }
 
     fn partition_keys(&self) -> uncertain_streams::core::Partitioning {

@@ -311,7 +311,6 @@ impl WindowedAggregate {
                 Value::Int(members.len() as i64),
             ];
             let lineage = Lineage::union_all(members.iter().map(|m| &m.lineage));
-            let mut having_probs: Vec<(String, f64)> = Vec::new();
 
             for spec in &self.specs {
                 // Sample payloads are summed through their Gaussian fit.
@@ -324,23 +323,17 @@ impl WindowedAggregate {
                 let Some(dist) = dist else {
                     continue 'group; // unusable group (e.g. no valid inputs)
                 };
-                let p_above = self
-                    .having
-                    .as_ref()
-                    .filter(|h| h.out == spec.out)
-                    .map(|h| dist.prob_above(h.threshold));
-                if let (Some(h), Some(p)) = (self.having.as_ref(), p_above) {
-                    if h.out == spec.out && p < h.min_prob {
+                let mut p_field = 1.0;
+                if let Some(h) = self.having.as_ref().filter(|h| h.out == spec.out) {
+                    p_field = dist.prob_above(h.threshold);
+                    if p_field < h.min_prob {
                         continue 'group;
                     }
-                    having_probs.push((spec.out.clone(), p));
                 }
-                let p_field = p_above.unwrap_or(1.0);
                 values.push(Value::from(dist));
                 values.push(Value::Float(p_field));
             }
 
-            let _ = having_probs;
             out.push(Tuple::derived(
                 self.out_schema.clone(),
                 values,

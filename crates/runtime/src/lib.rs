@@ -23,8 +23,8 @@
 //!   [`ustream_core::Partitioning::Global`] operator (count windows,
 //!   probabilistic joins, sampling aggregates) fall back to the
 //!   single-stage plan with classic cascading pinning; fully pinned
-//!   plans run the plain single-pipeline session. Degraded plans lose
-//!   speedup, never equivalence.
+//!   plans run on one shard. Degraded plans lose speedup, never
+//!   equivalence.
 //! - **One execution core.** [`session::ShardedSession`] — the
 //!   incremental sharded analogue of
 //!   [`ustream_core::query::ExecSession`] (`push_batch` / `flush` /
@@ -120,15 +120,17 @@ impl ShardedExecutor {
     /// prototype and must build the same graph every time (same
     /// operators in the same order with the same configuration —
     /// enforced structurally, trusted behaviorally). With one shard, or
-    /// a plan that cannot parallelize, the session wraps a plain
-    /// single-pipeline [`ustream_core::query::ExecSession`].
-    pub fn session(&self, factory: impl Fn() -> QueryGraph) -> Result<ShardedSession> {
+    /// a plan that cannot parallelize, it is invoked once: the session
+    /// runs that graph as one shard and one stage, whose drains equal a
+    /// plain [`ustream_core::query::ExecSession`]'s over the same
+    /// pushes, sink arrival order included.
+    pub fn session(&self, mut factory: impl Fn() -> QueryGraph) -> Result<ShardedSession> {
         ShardedSession::build(
             self.shards,
             self.workers,
             self.batch_size,
             self.pool_buffers,
-            &factory,
+            &mut factory,
         )
     }
 

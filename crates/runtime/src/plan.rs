@@ -263,6 +263,22 @@ impl ShardPlan {
         }
     }
 
+    /// The plan collapsed to what one shard runs: a single stage, no
+    /// exchange edges, every entry pinned. Entry names and operator
+    /// names are kept, so [`ShardPlan::describe`] still renders; callers
+    /// that want the analyzed topology render it before collapsing.
+    pub(crate) fn one_stage(self) -> ShardPlan {
+        let n = self.stage_of.len();
+        ShardPlan {
+            rules: vec![RouteRule::Pinned; n],
+            stage_of: vec![0; n],
+            num_stages: 1,
+            cuts: Vec::new(),
+            parallel: false,
+            ..self
+        }
+    }
+
     /// Routing rule for the stage entry `node` (nodes that are neither
     /// registered sources nor cut-edge targets are pinned).
     pub fn rule(&self, node: NodeId) -> RouteRule {

@@ -32,6 +32,13 @@
 //! output. Output at a cut node feeds the next stage's pool; output at
 //! a real sink is held until the watermark seals its timestamp.
 //!
+//! One shard — configured, or because the plan cannot parallelize — is
+//! the same core over a plan collapsed to one pinned stage
+//! (`ShardPlan::one_stage`): one slot, one [`ExecSession`] over the
+//! whole graph. Each push reaches it exactly as pushed (long row
+//! batches go columnar first), with no per-row routing and no
+//! re-batching, so a fan-in operator sees the pushed interleaving.
+//!
 //! ## Watermark discipline and determinism
 //!
 //! The session watermark W is the highest timestamp pushed so far; the
@@ -46,6 +53,12 @@
 //! counts, and shard counts, and — for keyed plans whose operators
 //! declare their partitioning honestly — exactly equal, in stream
 //! order, to what `run_batched` collects over the same feed.
+//!
+//! The hold and the sort exist to make several shards' output
+//! independent of how they interleave. One shard's arrival order
+//! already depends on the input alone, so a one-shard session releases
+//! everything it collected, as it arrived: each drain equals what a
+//! plain [`ExecSession`] drains after the same pushes.
 //!
 //! ## Failure containment
 //!
@@ -264,9 +277,11 @@ struct PendingSpan {
     elapsed_ns: u64,
 }
 
-/// The multi-stage, multi-shard session core.
+/// The session core: `shards` pipelines per stage of `plan`.
 struct StagedCore {
-    prototype: QueryGraph,
+    /// The graph routing keys are computed against; only a core with
+    /// more than one shard routes, so a one-shard core keeps none.
+    prototype: Option<QueryGraph>,
     plan: ShardPlan,
     shards: usize,
     n_workers: usize,
@@ -428,7 +443,10 @@ impl StagedCore {
         // attribute is minted deeper in the stage) surfaces as an error
         // instead of unwinding through the driver.
         let shard = {
-            let prototype = &self.prototype;
+            let prototype = self
+                .prototype
+                .as_ref()
+                .expect("only a multi-shard core routes");
             let shards = self.shards;
             let spread = &mut self.spread[stage];
             match catch(std::panic::AssertUnwindSafe(|| {
@@ -476,7 +494,10 @@ impl StagedCore {
         let rule = self.plan.rule(NodeId::from_index(node));
         let mut row_shard: Vec<usize> = Vec::with_capacity(batch.len());
         {
-            let prototype = &self.prototype;
+            let prototype = self
+                .prototype
+                .as_ref()
+                .expect("only a multi-shard core routes");
             let shards = self.shards;
             let spread = &mut self.spread[0];
             let tuples = batch.as_slice();
@@ -535,6 +556,8 @@ impl StagedCore {
                 // to the feed port when the entry *is* the anchor.
                 let Some(field) = self
                     .prototype
+                    .as_ref()
+                    .expect("only a multi-shard core routes")
                     .operator(anchor)
                     .partition_key_field(anchor_port.unwrap_or(port))
                     .map(str::to_string)
@@ -627,9 +650,11 @@ impl StagedCore {
     /// stage N produces interval k+1. An eager sweep is a regular
     /// drain-mode sweep minus the seal/lag accounting (which stays on
     /// the barrier schedule); held sink output still waits for
-    /// [`StagedCore::drain_collected`]/[`StagedCore::finish`].
+    /// [`StagedCore::drain_collected`]/[`StagedCore::finish`]. A
+    /// one-stage plan has no next stage to deliver to, so it skips the
+    /// sweep.
     fn maybe_eager_sweep(&mut self) -> Result<()> {
-        if self.watermark <= self.eager_swept {
+        if self.plan.num_stages() == 1 || self.watermark <= self.eager_swept {
             return Ok(());
         }
         self.eager_swept = self.watermark;
@@ -637,11 +662,18 @@ impl StagedCore {
     }
 
     /// The routing body of [`StagedCore::push_batch`]: advance the high
-    /// water, then route stage-0 input (columnar fast path first) or
-    /// pool input addressed downstream.
+    /// water, then hand the batch as pushed to a one-shard core's only
+    /// slot, route stage-0 input (columnar fast path first), or pool
+    /// input addressed downstream.
     fn ingest(&mut self, node: NodeId, port: usize, mut batch: Batch, stage: usize) -> Result<()> {
         if let Some(max_ts) = batch.max_ts() {
             self.watermark = self.watermark.max(max_ts);
+        }
+        if self.shards == 1 {
+            if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
+                batch.columnarize();
+            }
+            return self.push_run_to_slot(0, 0, node.index(), port, batch);
         }
         if stage == 0 {
             if batch.is_columnar() && self.route_columns(node.index(), port, &mut batch)? {
@@ -839,8 +871,8 @@ impl StagedCore {
                 // stage runs on a single slot its output pooled in
                 // emission order; a strictly-ascending pre-check skips
                 // the sort (and the tie pass) entirely.
-                let presorted = (self.shards == 1 || self.plan.single_producer(stage))
-                    && keyed.windows(2).all(|w| w[0].0 < w[1].0);
+                let presorted =
+                    self.plan.single_producer(stage) && keyed.windows(2).all(|w| w[0].0 < w[1].0);
                 if !presorted {
                     keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
                     let mut i = 0;
@@ -988,18 +1020,20 @@ impl StagedCore {
         self.push_run_to_slot(stage, 0, node, port, batch)
     }
 
-    /// Release held sink output: everything with `ts < watermark` (or
-    /// everything at finish), per sink in registration order, each
-    /// interval in canonical (ts, content) order.
+    /// Release held sink output, per sink in registration order: across
+    /// shards, everything with `ts < watermark` (or everything at
+    /// finish), each interval in canonical (ts, content) order; on one
+    /// shard, everything, in arrival order (see the module docs).
     fn release(&mut self, all: bool) -> Vec<(NodeId, Vec<Tuple>)> {
         let wm = self.watermark;
+        let on_arrival = self.shards == 1;
         let mut out: Vec<(NodeId, Vec<Tuple>)> = Vec::new();
         for &sink in &self.sink_order {
             let Some(bucket) = self.held.get_mut(&sink) else {
                 continue;
             };
             let mut released: Vec<Tuple>;
-            if all {
+            if all || on_arrival {
                 released = std::mem::take(bucket);
             } else {
                 released = Vec::new();
@@ -1014,7 +1048,9 @@ impl StagedCore {
                 *bucket = kept;
             }
             if !released.is_empty() {
-                canon::canonical_sort(&mut released);
+                if !on_arrival {
+                    canon::canonical_sort(&mut released);
+                }
                 out.push((NodeId::from_index(sink), released));
             }
         }
@@ -1034,7 +1070,13 @@ impl StagedCore {
         let t0 = self.active_trace.is_some().then(Instant::now);
         let released = self.release(true);
         self.record_emit(released.iter().map(|(_, t)| t.len()).sum(), t0);
-        let mut out: HashMap<NodeId, Vec<Tuple>> = HashMap::new();
+        // Every registered sink gets an entry, empty or not, as
+        // `run_batched` and `ExecSession::finish` report them.
+        let mut out: HashMap<NodeId, Vec<Tuple>> = self
+            .sink_order
+            .iter()
+            .map(|&sink| (NodeId::from_index(sink), Vec::new()))
+            .collect();
         for (sink, tuples) in released {
             out.insert(sink, tuples);
         }
@@ -1072,84 +1114,30 @@ impl Drop for StagedCore {
     }
 }
 
-/// The single-pipeline fast path: one [`ExecSession`] over the whole
-/// graph, byte-identical (including sink arrival order) to driving the
-/// plain incremental engine — used when one shard is configured or the
-/// plan cannot parallelize, so degraded plans pay no exchange machinery.
-struct SingleCore {
-    session: Option<ExecSession>,
-    failed: Option<String>,
-    telem: SessionTelemetry,
-    /// Highest timestamp pushed so far (event-time high water).
-    high_water: u64,
-    /// Watermark most recently sealed via `advance_watermark`.
-    sealed: u64,
-    /// Causal-trace state for the most recent sampled batch.
-    active_trace: Option<ActiveTrace>,
-}
-
-impl SingleCore {
-    fn op<T>(&mut self, f: impl FnOnce(&mut ExecSession) -> T) -> Result<T> {
-        if let Some(msg) = &self.failed {
-            return Err(EngineError::OperatorPanicked(msg.clone()));
-        }
-        let session = self
-            .session
-            .as_mut()
-            .expect("session present until failure");
-        match catch(std::panic::AssertUnwindSafe(|| f(session))) {
-            Ok(v) => Ok(v),
-            Err(msg) => {
-                self.session = None;
-                self.failed = Some(msg.clone());
-                Err(EngineError::OperatorPanicked(msg))
-            }
-        }
-    }
-}
-
 /// An incremental sharded execution session over a query-graph factory.
 /// Build one with [`crate::ShardedExecutor::session`]; see the module
 /// docs for the execution model.
 pub struct ShardedSession {
     sources: HashMap<String, NodeId>,
-    core: Core,
-}
-
-enum Core {
-    Single(Box<SingleCore>),
-    Staged(Box<StagedCore>),
+    core: StagedCore,
 }
 
 impl ShardedSession {
-    /// Wrap one already-built graph as a single-pipeline session: exact
+    /// Wrap one already-built graph as a one-shard session: exact
     /// [`ExecSession`] semantics (including sink arrival order) behind
     /// the sharded session surface, with the same typed panic
     /// containment. The shape a server uses when it was handed a built
     /// graph rather than a factory.
     pub fn single(graph: QueryGraph) -> Result<ShardedSession> {
-        let sources: HashMap<String, NodeId> = graph
-            .source_entries()
-            .map(|(name, id)| (name.to_string(), id))
-            .collect();
-        let plan_text = graph
-            .compile()
-            .map(|compiled| ShardPlan::analyze(&graph, &compiled).describe())
-            .unwrap_or_default();
-        let session = graph.into_session()?;
-        let telem = single_telemetry(&session);
-        telem.set_plan(plan_text);
-        Ok(ShardedSession {
-            sources,
-            core: Core::Single(Box::new(SingleCore {
-                session: Some(session),
-                failed: None,
-                telem,
-                high_water: 0,
-                sealed: 0,
-                active_trace: None,
-            })),
-        })
+        let defaults = crate::ShardedExecutor::new(1);
+        let mut graph = Some(graph);
+        ShardedSession::build(
+            1,
+            None,
+            defaults.batch_size,
+            defaults.pool_buffers,
+            &mut || graph.take().expect("a one-shard session builds one graph"),
+        )
     }
 
     pub(crate) fn build(
@@ -1157,7 +1145,7 @@ impl ShardedSession {
         workers: Option<usize>,
         batch_size: usize,
         pool_buffers: usize,
-        factory: &dyn Fn() -> QueryGraph,
+        factory: &mut dyn FnMut() -> QueryGraph,
     ) -> Result<ShardedSession> {
         let prototype = factory();
         let compiled = prototype.compile()?;
@@ -1166,16 +1154,38 @@ impl ShardedSession {
             .source_entries()
             .map(|(name, id)| (name.to_string(), id))
             .collect();
-
-        // Single pipeline when sharding cannot help: one shard
-        // configured, or a fully pinned plan. The plain session also
-        // preserves exact sink *arrival* order, which multi-shard
-        // release trades for the canonical order.
-        if shards == 1 || !plan.is_parallel() {
-            return ShardedSession::single(prototype);
-        }
-
         let n = compiled.num_nodes();
+
+        // One shard when sharding cannot help: one shard configured, or
+        // a fully pinned plan. Its only pipeline is the prototype
+        // itself; more shards build one graph per shard and keep the
+        // prototype to compute routing keys against.
+        let (prototype, graphs) = if shards == 1 || !plan.is_parallel() {
+            (None, vec![prototype])
+        } else {
+            let mut graphs = Vec::with_capacity(shards);
+            for _ in 0..shards {
+                let g = factory();
+                if g.num_nodes() != n
+                    || (0..n).any(|i| {
+                        g.operator(NodeId::from_index(i)).name()
+                            != prototype.operator(NodeId::from_index(i)).name()
+                    })
+                {
+                    return Err(EngineError::InvalidConfig(
+                        "shard factory must build identical graphs on every call".into(),
+                    ));
+                }
+                graphs.push(g);
+            }
+            (Some(prototype), graphs)
+        };
+        let shards = graphs.len();
+        // EXPLAIN renders the analyzed plan, before a one-shard core
+        // collapses it to the single pinned stage it runs.
+        let plan_text = plan.describe();
+        let plan = if shards == 1 { plan.one_stage() } else { plan };
+
         let num_stages = plan.num_stages();
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1194,7 +1204,7 @@ impl ShardedSession {
             cut_targets[c.from.index()].push((c.to.index(), c.port));
         }
 
-        // Build stage metadata once from the prototype's shape.
+        // Build stage metadata once from the plan's shape.
         let stage_nodes: Vec<Vec<usize>> = {
             let mut v: Vec<Vec<usize>> = vec![Vec::new(); num_stages];
             for i in 0..n {
@@ -1221,33 +1231,21 @@ impl ShardedSession {
         // move onto their workers, so the driver (and anything it binds
         // a registry for) reads the same cells the workers bump.
         let mut telem = SessionTelemetry::new(num_stages, shards);
-        telem.set_plan(plan.describe());
+        telem.set_plan(plan_text);
         let mut per_worker: Vec<BTreeMap<usize, SlotState>> =
             (0..n_workers).map(|_| BTreeMap::new()).collect();
-        for shard in 0..shards {
-            let g = factory();
-            if g.num_nodes() != n
-                || (0..n).any(|i| {
-                    g.operator(NodeId::from_index(i)).name()
-                        != prototype.operator(NodeId::from_index(i)).name()
-                })
-            {
-                return Err(EngineError::InvalidConfig(
-                    "shard factory must build identical graphs on every call".into(),
-                ));
-            }
+        for (shard, g) in graphs.into_iter().enumerate() {
             let stage_sessions = split_stages(g, &plan, &stages, num_stages, &pool)?;
             for (stage, session) in stage_sessions.into_iter().enumerate() {
                 let orig_of = &stages[stage].orig_of;
                 telem.push_op_entries(session.node_telemetry().iter().enumerate().map(
                     |(local, h)| {
-                        let orig = orig_of[local];
                         OpTelemetryEntry {
-                            op: prototype
-                                .operator(NodeId::from_index(orig))
+                            op: session
+                                .operator(NodeId::from_index(local))
                                 .name()
                                 .to_string(),
-                            node: orig,
+                            node: orig_of[local],
                             stage,
                             shard,
                             telem: h.clone(),
@@ -1285,7 +1283,7 @@ impl ShardedSession {
             .collect();
         Ok(ShardedSession {
             sources,
-            core: Core::Staged(Box::new(StagedCore {
+            core: StagedCore {
                 prototype,
                 plan,
                 shards,
@@ -1316,7 +1314,7 @@ impl ShardedSession {
                 active_trace: None,
                 trace_live: false,
                 trace_buf: Vec::new(),
-            })),
+            },
         })
     }
 
@@ -1342,53 +1340,8 @@ impl ShardedSession {
     /// Pushes must be globally ts-nondecreasing (the contract every
     /// driver — `ordered_feed`, the server's watermark merge — already
     /// satisfies). Errors when an operator or routing key panicked.
-    pub fn push_batch(&mut self, node: NodeId, port: usize, mut batch: Batch) -> Result<()> {
-        match &mut self.core {
-            Core::Single(s) => {
-                // Long row pushes go columnar up front (bit-identical
-                // per the columnar property suites), so a session-driven
-                // single pipeline runs the same vectorized kernels as
-                // `run_batched`'s chunk feed.
-                if !batch.is_columnar() && batch.len() >= COLUMNAR_MIN_CHUNK {
-                    batch.columnarize();
-                }
-                let tuples = batch.len();
-                s.telem.batches_pushed.inc();
-                s.telem.tuples_pushed.add(tuples as u64);
-                s.telem.routed(0, 0).add(tuples as u64);
-                s.telem.journal().record(TraceDetail::BatchPumped {
-                    node: node.index(),
-                    port,
-                    tuples,
-                });
-                if let Some(max_ts) = batch.max_ts() {
-                    s.high_water = s.high_water.max(max_ts);
-                }
-                let trace = s.telem.traces().sample(s.telem.batches_pushed.get());
-                let t0 = trace.map(|_| Instant::now());
-                let result = s.op(|session| session.push(node, port, batch));
-                if let Some(trace) = trace {
-                    if result.is_ok() {
-                        let root = s.telem.traces().record(
-                            trace,
-                            None,
-                            SpanKind::Pump,
-                            0,
-                            0,
-                            tuples,
-                            t0.expect("timed when sampled").elapsed().as_nanos() as u64,
-                        );
-                        s.active_trace = Some(ActiveTrace {
-                            trace,
-                            root,
-                            last_seal: None,
-                        });
-                    }
-                }
-                result
-            }
-            Core::Staged(s) => s.push_batch(node, port, batch),
-        }
+    pub fn push_batch(&mut self, node: NodeId, port: usize, batch: Batch) -> Result<()> {
+        self.core.push_batch(node, port, batch)
     }
 
     /// The session's live telemetry handles: routing and exchange
@@ -1397,10 +1350,7 @@ impl ShardedSession {
     /// are cloneable and readable from other threads while the session
     /// runs.
     pub fn telemetry(&self) -> &SessionTelemetry {
-        match &self.core {
-            Core::Single(s) => &s.telem,
-            Core::Staged(s) => &s.telem,
-        }
+        &self.core.telem
     }
 
     /// Adopt every telemetry handle into `registry` under the
@@ -1412,124 +1362,41 @@ impl ShardedSession {
 
     /// Event time reached `watermark` without (necessarily) data: the
     /// caller promises no future push will carry `ts < watermark`.
-    /// Event-time windows the clock has passed close — immediately on a
-    /// single pipeline, at the next sweep across shards — so results
-    /// gated only on time still flow. This is how a served query whose
-    /// publishers are idle-but-heartbeating keeps streaming: the
-    /// server's collective publisher watermark can run ahead of the
-    /// last pushed tuple.
+    /// Event-time windows the clock has passed close at the next sweep —
+    /// at once when the plan has a later stage to deliver them to,
+    /// otherwise at the next [`ShardedSession::drain_collected`] — so
+    /// results gated only on time still flow. This is how a served
+    /// query whose publishers are idle-but-heartbeating keeps
+    /// streaming: the server's collective publisher watermark can run
+    /// ahead of the last pushed tuple.
     pub fn advance_watermark(&mut self, watermark: u64) -> Result<()> {
-        match &mut self.core {
-            Core::Single(s) => {
-                s.high_water = s.high_water.max(watermark);
-                let sealed_now = watermark > s.sealed;
-                if sealed_now {
-                    s.telem.record_seal(0, s.sealed, watermark);
-                    s.sealed = watermark;
-                }
-                let t0 = (sealed_now && s.active_trace.is_some()).then(Instant::now);
-                let result = s.op(|session| session.advance_watermark(watermark));
-                if let Some(t0) = t0 {
-                    if result.is_ok() {
-                        if let Some(at) = &mut s.active_trace {
-                            let seq = s.telem.traces().record(
-                                at.trace,
-                                Some(at.root),
-                                SpanKind::Seal,
-                                0,
-                                0,
-                                0,
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                            at.last_seal = Some(seq);
-                        }
-                    }
-                }
-                result
-            }
-            Core::Staged(s) => {
-                s.guard()?;
-                s.watermark = s.watermark.max(watermark);
-                // A bare watermark advance seals an interval just like a
-                // push does: deliver it downstream now.
-                s.maybe_eager_sweep()
-            }
-        }
+        let core = &mut self.core;
+        core.guard()?;
+        core.watermark = core.watermark.max(watermark);
+        // A bare watermark advance seals an interval just like a push
+        // does: deliver it downstream now.
+        core.maybe_eager_sweep()
     }
 
     /// Drain the sink output completed since the previous drain, per
-    /// sink in registration order. With one pipeline this is the plain
-    /// session's arrival-order drain; across shards it sweeps the
-    /// exchange stages, broadcasts the watermark, and releases every
-    /// sink tuple whose timestamp the watermark sealed, in canonical
-    /// `(ts, content)` order.
+    /// sink in registration order: sweep the stages, broadcast the
+    /// watermark, and release what is complete. Across shards that is
+    /// every sink tuple whose timestamp the watermark sealed, in
+    /// canonical `(ts, content)` order; on one shard it is everything
+    /// collected, in arrival order — what a plain [`ExecSession`]
+    /// drains.
     pub fn drain_collected(&mut self) -> Result<Vec<(NodeId, Vec<Tuple>)>> {
-        match &mut self.core {
-            Core::Single(s) => {
-                let t0 = s.active_trace.is_some().then(Instant::now);
-                let out = s.op(|session| session.drain_collected())?;
-                let released: usize = out.iter().map(|(_, t)| t.len()).sum();
-                s.telem.journal().record(TraceDetail::WindowSealed {
-                    stage: 0,
-                    watermark: s.sealed,
-                    released,
-                });
-                if let Some(at) = s.active_trace.take() {
-                    s.telem.traces().record(
-                        at.trace,
-                        Some(at.last_seal.unwrap_or(at.root)),
-                        SpanKind::Emit,
-                        0,
-                        0,
-                        released,
-                        t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                    );
-                }
-                Ok(out)
-            }
-            Core::Staged(s) => s.drain_collected(),
-        }
+        self.core.drain_collected()
     }
 
     /// End of stream: flush every stage in order (exchanging the final
-    /// windows downstream) and return the undrained remainder per sink.
+    /// windows downstream) and return the undrained remainder per sink,
+    /// with an entry for every registered sink.
     pub fn finish(mut self) -> Result<HashMap<NodeId, Vec<Tuple>>> {
-        match &mut self.core {
-            Core::Single(s) => {
-                if let Some(msg) = &s.failed {
-                    return Err(EngineError::OperatorPanicked(msg.clone()));
-                }
-                let session = s.session.take().expect("session present until failure");
-                match catch(std::panic::AssertUnwindSafe(|| session.finish())) {
-                    Ok(map) => Ok(map),
-                    Err(msg) => {
-                        s.failed = Some(msg.clone());
-                        Err(EngineError::OperatorPanicked(msg))
-                    }
-                }
-            }
-            Core::Staged(s) => {
-                let out = s.finish();
-                s.shutdown();
-                out
-            }
-        }
+        let out = self.core.finish();
+        self.core.shutdown();
+        out
     }
-}
-
-/// Harvest a single-pipeline session's per-node counters into a fresh
-/// 1×1 telemetry bundle.
-fn single_telemetry(session: &ExecSession) -> SessionTelemetry {
-    let mut telem = SessionTelemetry::new(1, 1);
-    let handles = session.node_telemetry();
-    telem.push_op_entries(handles.iter().enumerate().map(|(i, h)| OpTelemetryEntry {
-        op: session.operator(NodeId::from_index(i)).name().to_string(),
-        node: i,
-        stage: 0,
-        shard: 0,
-        telem: h.clone(),
-    }));
-    telem
 }
 
 /// Split one factory-built graph into its per-stage [`ExecSession`]s.

@@ -17,9 +17,8 @@
 //! unsealed, since the stage's previous seal. A pipeline drained after
 //! every batch shows lags near the batch's timestamp span; a pipeline
 //! drained rarely (or a stage starved behind a slow exchange) shows
-//! the p95/p99 of that distribution growing. The single-pipeline core
-//! records the same quantity for its one stage on every watermark
-//! advance.
+//! the p95/p99 of that distribution growing. A one-shard session is
+//! the same core with one stage, so it seals on the same schedule.
 //!
 //! Nothing here is wired to a server: [`SessionTelemetry::bind_registry`]
 //! adopts every handle into a [`MetricsRegistry`] under the
@@ -85,8 +84,8 @@ pub struct SessionTelemetry {
 }
 
 impl SessionTelemetry {
-    /// Fresh handles for a `stages × shards` plan (1×1 for the
-    /// single-pipeline core).
+    /// Fresh handles for a `stages × shards` plan (1×1 for a one-shard
+    /// session).
     pub(crate) fn new(stages: usize, shards: usize) -> SessionTelemetry {
         SessionTelemetry {
             stages,

@@ -1241,3 +1241,177 @@ fn single_pipeline_session_telemetry_reconciles_without_perturbation() {
         .iter()
         .any(|e| matches!(e.detail, TraceDetail::BatchPumped { .. })));
 }
+
+// ---------------------------------------------------------------------
+// Sink reporting and one-shard release: `finish` names every registered
+// sink, and a one-shard session drains exactly what a plain
+// `ExecSession` drains after the same pushes, in arrival order.
+// ---------------------------------------------------------------------
+
+#[test]
+fn finish_reports_empty_sinks_at_every_shard_count() {
+    let schema = Schema::builder()
+        .field("g", DataType::Int)
+        .field("x", DataType::Uncertain)
+        .build();
+    // P(x > 0) is nil for every reading, so the select drops them all.
+    let filtered_out: Vec<Tuple> = (0..40u64)
+        .map(|i| {
+            Tuple::new(
+                schema.clone(),
+                vec![
+                    Value::Int((i % 3) as i64),
+                    Value::from(Updf::Parametric(Dist::gaussian(-50.0, 1.0))),
+                ],
+                i * 10,
+            )
+        })
+        .collect();
+    for (label, inputs) in [("empty feed", Vec::new()), ("filtered feed", filtered_out)] {
+        let (mut g, sink) = q1_graph();
+        let reference = g
+            .run_batched(vec![("in".into(), 0, inputs.clone())], 16)
+            .unwrap();
+        assert_eq!(reference.get(&sink).map(Vec::len), Some(0), "{label}");
+        for shards in [1, 4] {
+            let out = ShardedExecutor::new(shards)
+                .with_workers(2)
+                .run(|| q1_graph().0, vec![("in".into(), 0, inputs.clone())])
+                .unwrap();
+            assert_eq!(
+                out.get(&sink).map(Vec::len),
+                Some(0),
+                "{label}, shards={shards}: the empty sink must be reported"
+            );
+            let mut keys: Vec<usize> = out.keys().map(|n| n.index()).collect();
+            let mut want: Vec<usize> = reference.keys().map(|n| n.index()).collect();
+            keys.sort();
+            want.sort();
+            assert_eq!(keys, want, "{label}, shards={shards}");
+        }
+    }
+}
+
+/// A stateless pass-through that declares itself `Global`, so any plan
+/// containing it is pinned and runs on one shard at every shard count.
+struct SerialPass;
+
+impl Operator for SerialPass {
+    fn name(&self) -> &str {
+        "serial-pass"
+    }
+
+    fn process_batch(&mut self, _port: usize, batch: Batch) -> Batch {
+        batch
+    }
+
+    fn partition_keys(&self) -> uncertain_streams::core::Partitioning {
+        uncertain_streams::core::Partitioning::Global
+    }
+}
+
+fn arrival_graph() -> (QueryGraph, NodeId) {
+    let mut g = QueryGraph::new();
+    let op = g.add(Box::new(SerialPass));
+    let sink = g.add(Box::new(Passthrough::new("sink")));
+    g.connect(op, sink, 0).unwrap();
+    g.source("in", op);
+    g.sink(sink);
+    (g, sink)
+}
+
+/// Pushes whose arrival order is not the canonical order: each push's
+/// same-ts rows arrive in descending content order (lineage ids, which
+/// the canonical key compares first, descend with them), and a later
+/// push shares the ts of the one before it (a `ts < W` hold would keep
+/// both back). The 80-row push is long enough to go columnar on the way
+/// in.
+fn arrival_feed() -> Vec<Vec<Tuple>> {
+    let schema = Schema::builder().field("v", DataType::Int).build();
+    let at = |ts: u64, n: i64| {
+        let mut rows: Vec<Tuple> = (0..n)
+            .map(|v| Tuple::new(schema.clone(), vec![Value::Int(v)], ts))
+            .collect();
+        rows.reverse();
+        rows
+    };
+    vec![
+        at(10, 3),
+        at(10, 2),
+        at(20, 80),
+        at(20, 4),
+        at(35, 3),
+        at(40, 2),
+    ]
+}
+
+fn by_node(map: std::collections::HashMap<NodeId, Vec<Tuple>>) -> Vec<(usize, Vec<Tuple>)> {
+    let mut v: Vec<(usize, Vec<Tuple>)> = map.into_iter().map(|(n, t)| (n.index(), t)).collect();
+    v.sort_by_key(|(n, _)| *n);
+    v
+}
+
+#[test]
+fn one_shard_sessions_release_on_arrival_like_exec_session() {
+    use uncertain_streams::runtime::session::ShardedSession;
+    assert!(
+        !ShardedExecutor::shard_plan(&arrival_graph().0)
+            .unwrap()
+            .is_parallel(),
+        "a global operator pins the plan"
+    );
+    let sessions = vec![
+        ("single", ShardedSession::single(arrival_graph().0).unwrap()),
+        (
+            "1 shard",
+            ShardedExecutor::new(1)
+                .session(|| arrival_graph().0)
+                .unwrap(),
+        ),
+        (
+            "4 shards, pinned plan",
+            ShardedExecutor::new(4)
+                .session(|| arrival_graph().0)
+                .unwrap(),
+        ),
+    ];
+    for (label, mut session) in sessions {
+        let (g, sink) = arrival_graph();
+        let mut reference = g.into_session().unwrap();
+        let node = session.source_node("in").unwrap();
+        let mut feed = arrival_feed().into_iter().peekable();
+        let mut push = 0;
+        while let Some(rows) = feed.next() {
+            reference.push(node, 0, Batch::from(rows.clone()));
+            session.push_batch(node, 0, Batch::from(rows)).unwrap();
+            if feed.peek().is_none() {
+                break; // the last push stays undrained for `finish`
+            }
+            let want = reference.drain_collected();
+            let got = session.drain_collected().unwrap();
+            assert_eq!(got.len(), 1, "{label}: push {push} releases at once");
+            let mut canonical = got[0].1.clone();
+            canonical_sort(&mut canonical);
+            assert_ne!(
+                format!("{canonical:?}"),
+                format!("{:?}", got[0].1),
+                "{label}: push {push} must arrive out of canonical order"
+            );
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{label}: drain after push {push}"
+            );
+            push += 1;
+        }
+        let want = by_node(reference.finish());
+        assert_eq!(want.len(), 1);
+        assert_eq!(want[0].0, sink.index());
+        assert!(!want[0].1.is_empty());
+        assert_eq!(
+            format!("{:?}", by_node(session.finish().unwrap())),
+            format!("{want:?}"),
+            "{label}: finish remainder"
+        );
+    }
+}
